@@ -1,10 +1,11 @@
 """``unlocked-shared-mutation``: shared mutable state mutates under its lock.
 
 The three-tier cache hierarchy (plan cache → mapping memo → reward table)
-is shared process-wide across search workers; each cache class owns a
-``threading.Lock`` and every mutation of its bookkeeping must hold it —
-the thread backend exercises these paths concurrently, and a single
-unguarded ``dict`` write can corrupt the LRU ordering or drop entries.
+is shared process-wide across search workers and callers; each cache
+class owns a ``threading.Lock`` and every mutation of its bookkeeping must
+hold it — a caller on another thread can reach these paths concurrently,
+and a single unguarded ``dict`` write can corrupt the LRU ordering or drop
+entries.
 
 Two structural rules:
 
@@ -332,7 +333,7 @@ class LockGuardChecker(Checker):
         "lock-owning classes mutate guarded attributes outside 'with <lock>:'"
     )
     dynamic_backstop = (
-        "tests/test_backends.py thread-backend determinism pins; "
+        "tests/test_backends.py reward-table merge test; "
         "tests/test_reward_memo.py concurrent memo equivalence"
     )
 

@@ -2,7 +2,7 @@
 
 Fingerprints and cache keys outlive the Python process: the reward table is
 merged across worker processes, baseline files record them, and the
-byte-identical-backends contract requires worker *w* on the thread backend
+byte-identical-backends contract requires worker *w* on the serial backend
 to derive the same keys as worker *w* in a child process.  A key containing
 
 * ``id(...)`` — an address, unique to one process and recycled within it,
@@ -160,7 +160,7 @@ class NondeterministicKeyChecker(Checker):
         "id()/hash()/env/time/random values inside fingerprints or cache keys"
     )
     dynamic_backstop = (
-        "tests/test_backends.py serial/thread/process byte-identity; "
+        "tests/test_backends.py serial/process byte-identity; "
         "tests/test_reward_memo.py memo-on/off interface identity"
     )
 

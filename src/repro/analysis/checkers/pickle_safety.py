@@ -1,17 +1,16 @@
 """``unpicklable-worker-state``: the process backend's specs must pickle.
 
-``ProcessBackend`` ships a :class:`repro.core.pipeline.PipelineWorkerSpec`
-to every worker process; if the spec — or anything reachable from it —
-grows a lambda, a local closure, a ``threading.Lock``, a weakref container,
-an open file handle, or a live generator, pickling fails at search time (or
-worse: silently falls back to the serial backend, discarding the requested
-parallelism).  The dynamic test only catches this for the catalogues the
-suite happens to build; this checker walks the *static* reference graph.
+``WorkerPool`` ships a :class:`repro.service.pool.ServiceWorkerSpec` to
+every worker process it starts; if the spec — or anything reachable from it
+— grows a lambda, a local closure, a ``threading.Lock``, a weakref
+container, an open file handle, or a live generator, pickling fails when
+the pool is built, and every process search (one-shot or served) is lost.
+The dynamic tests only catch this for the catalogues the suite happens to
+build; this checker walks the *static* reference graph.
 
 Mechanics:
 
-* **Roots** are classes whose name ends in ``WorkerSpec`` (the protocol and
-  its implementations).
+* **Roots** are classes whose name ends in ``WorkerSpec``.
 * From each root the checker traverses to other project classes through
   dataclass field annotations and ``self.<attr> = ClassName(...)``
   constructor assignments, resolving names through each file's imports.
@@ -28,7 +27,7 @@ Mechanics:
 * Attributes that ``__getstate__`` removes (``state.pop("x")``,
   ``state["x"] = None``, ``del state["x"]``) are exempt — that is exactly
   the sanctioned way to carry build-time-only state, and it is how
-  ``PipelineWorkerSpec.setup`` stays out of the pickle stream.
+  ``ServiceWorkerSpec._materialized`` stays out of the pickle stream.
 
 ``field(default_factory=lambda: ...)`` is *not* flagged: the factory runs
 at construction time and only its (picklable) result lands on instances.
@@ -207,7 +206,7 @@ class PickleSafetyChecker(Checker):
     )
     dynamic_backstop = (
         "tests/test_backends.py process-backend determinism pins; "
-        "core.pipeline._process_spec_for pickle.dumps probe"
+        "WorkerPool.__init__ pickles the ServiceWorkerSpec before any spawn"
     )
 
     def check_project(self, project: Project) -> Iterable[Finding]:

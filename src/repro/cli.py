@@ -38,6 +38,7 @@ from .faults import GenerationFailure
 from .database.executor import Executor
 from .interface.export import export_html, interface_to_json
 from .interface.runtime import InterfaceRuntime
+from .search.backends import BACKEND_NAMES
 from .taxonomy import classify_interface
 from .workloads import WORKLOADS, get_workload
 
@@ -81,11 +82,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     gen.add_argument(
         "--backend",
-        choices=["serial", "thread", "process"],
+        choices=BACKEND_NAMES,
         default=None,
-        help="search-execution backend: 'serial' (round-robin, default), "
-        "'thread' (one thread per worker), or 'process' (one OS process per "
-        "worker — true wall-clock parallelism)",
+        help="search-execution backend: 'serial' (round-robin, default) or "
+        "'process' (one OS process per worker on a supervised worker pool — "
+        "true wall-clock parallelism; without --pool the pool lives for one "
+        "generation)",
     )
     gen.add_argument("--html", help="write a static HTML preview to this path")
     gen.add_argument("--json", dest="json_out", help="write the interface spec as JSON")
@@ -138,7 +140,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--scale", type=float, default=0.3)
     serve.add_argument("--workers", type=int, default=None)
     serve.add_argument(
-        "--backend", choices=["serial", "thread", "process"], default=None
+        "--backend",
+        choices=BACKEND_NAMES,
+        default=None,
+        help="search-execution backend: 'serial' (in-process, default) or "
+        "'process' (the service's worker pool, kept alive across requests)",
     )
     serve.add_argument("--cache-dir", help="cross-run cache persistence directory")
     _add_resilience_arguments(serve)

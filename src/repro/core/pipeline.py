@@ -10,21 +10,20 @@
    best Difftree state, and
 4. returns the lowest-cost interface together with search diagnostics.
 
-The MCTS step executes on a pluggable backend (serial round-robin, threads,
-or true worker processes — :mod:`repro.search.backends`).  The reward
-context each worker needs (executors, cost model, mappers) is built by
-:func:`build_reward_setup`, used both in this process and — via the
-picklable :class:`PipelineWorkerSpec` — inside each process-backend worker,
-so every backend runs the same reward code against the same catalogue.
+The MCTS step executes on a pluggable backend (serial round-robin or true
+worker processes — :mod:`repro.search.backends`).  The reward context each
+worker needs (executors, cost model, mappers) is built by
+:func:`build_reward_setup`, used both in this process and inside each
+:class:`~repro.service.pool.WorkerPool` worker, so both backends run the
+same reward code against the same catalogue.
 """
 
 from __future__ import annotations
 
 import hashlib
-import pickle
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .. import faults
@@ -50,9 +49,8 @@ from ..obs import (
     publish_plan_stats,
     publish_search_stats,
     span,
-    worker_metrics_snapshot,
 )
-from ..search.backends import resolve_backend_name
+from ..search.backends import ProcessBackend, SearchBackend, resolve_backend_name
 from ..search.mcts import RewardFn
 from ..search.parallel import parallel_search
 from ..search.state import SearchState
@@ -154,8 +152,8 @@ def make_reward_fn(
     another worker, a previous request on a warm pool, or a persisted cache
     file reloaded in a fresh process) returns exactly the value this function
     would have computed, so caching changes cost, never trajectories, and
-    which worker evaluates a state first cannot matter.  ``worker_index`` is
-    kept for the worker-spec build signature but no longer affects rewards.
+    which worker evaluates a state first cannot matter.  ``worker_index``
+    only addresses fault injection; it never affects rewards.
     """
     reward_mapper = setup.reward_mapper
     mappings = config.search.reward_mappings
@@ -183,77 +181,6 @@ def make_reward_fn(
     return reward_fn
 
 
-@dataclass
-class PipelineWorkerSpec:
-    """Picklable recipe for rebuilding the reward context in a worker process.
-
-    Implements the :class:`repro.search.backends.ProcessWorkerSpec` protocol:
-    each process-backend worker unpickles this, rebuilds catalogue, executors
-    and mappers via :func:`build_reward_setup` (warming its private plan
-    cache and mapping memo in the process), and evaluates rewards with the
-    exact code the serial backend runs in the parent.
-    """
-
-    catalog: Catalog
-    query_asts: list
-    config: PipelineConfig
-    #: built lazily inside the worker process; never pickled (the parent
-    #: pickles the spec before any build happens)
-    setup: Optional[RewardSetup] = field(default=None, repr=False, compare=False)
-
-    def build(self, worker_index: int, search_config) -> tuple:
-        self.setup = build_reward_setup(self.catalog, self.query_asts, self.config)
-        engine = TransformEngine(
-            self.catalog,
-            self.setup.executor,
-            max_applications=search_config.max_applications,
-        )
-        return engine, make_reward_fn(self.setup, self.config, worker_index)
-
-    def cache_info(self) -> tuple[Optional[dict], Optional[dict]]:
-        if self.setup is None:
-            return None, None
-        memo_info = self.setup.memo.info() if self.setup.memo is not None else None
-        return self.setup.executor.plan_cache.info(), memo_info
-
-    def metrics_snapshot(self) -> Optional[dict]:
-        """This worker process's registry snapshot (``workers.*``), shipped
-        back in the ``done`` reply and merged by the coordinator."""
-        if self.setup is None:
-            return None
-        plan_info, memo_info = self.cache_info()
-        return worker_metrics_snapshot(
-            plan_stats=self.setup.executor.stats,
-            mapper_stats=self.setup.mapper.stats,
-            plan_cache_info=plan_info,
-            memo_info=memo_info,
-        )
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["setup"] = None
-        return state
-
-
-def _process_spec_for(
-    catalog: Catalog, asts: Sequence[Node], config: PipelineConfig
-) -> Optional[PipelineWorkerSpec]:
-    """A worker spec when the process backend is in play, else ``None``.
-
-    Only built (and test-pickled) when the resolved backend is ``process`` —
-    a custom catalogue that cannot be pickled silently falls back to the
-    serial backend rather than failing the search.
-    """
-    if resolve_backend_name(config.search.backend, has_process_spec=True) != "process":
-        return None
-    spec = PipelineWorkerSpec(catalog=catalog, query_asts=list(asts), config=config)
-    try:
-        pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception:
-        return None
-    return spec
-
-
 # ---------------------------------------------------------------------------
 # the pipeline
 # ---------------------------------------------------------------------------
@@ -266,15 +193,16 @@ class GenerationRuntime:
 
     One-shot callers never build one — every field has a cold default.  The
     service (:mod:`repro.service.service`) uses it to (a) run the search on
-    a live :class:`~repro.service.pool.WorkerPool` backend instead of
-    spawning fresh workers, (b) hand in the per-(catalogue, workload) reward
-    table it keeps across requests, and (c) label the request's
-    :class:`~repro.search.config.SearchStats` as pool-warm or pool-cold.
+    its live :class:`~repro.service.pool.WorkerPool` (or, on its last rung,
+    the serial backend) instead of resolving the configured backend, (b) hand
+    in the per-(catalogue, workload) reward table it keeps across requests,
+    and (c) label the request's :class:`~repro.search.config.SearchStats` as
+    pool-warm or pool-cold.
     """
 
-    #: a live backend instance (e.g. a pooled process backend) to run the
-    #: search on; ``None`` selects the configured backend by name
-    backend_instance: Optional[object] = None
+    #: the backend to run the search on; ``None`` resolves the configured
+    #: backend by name (a ``"process"`` search then gets a one-shot pool)
+    backend: Optional[SearchBackend] = None
     #: pre-populated cross-worker reward table carried across requests
     reward_table: Optional[object] = None
     #: ``"warm"`` / ``"cold"`` pool state for the request's stats
@@ -350,8 +278,8 @@ def generate_interface(
             trees = engine.refactor_to_fixpoint(trees)
 
     # every worker gets a private engine (its rule-application cache must not
-    # couple workers across rounds) and a private reward-RNG stream; the
-    # process backend rebuilds the same pair inside each worker process
+    # couple workers across rounds) and a private reward-RNG stream; process
+    # workers rebuild the same pair from the request inside their process
     def engine_factory(worker_index: int) -> TransformEngine:
         return TransformEngine(
             catalog, executor, max_applications=config.search.max_applications
@@ -360,43 +288,49 @@ def generate_interface(
     def reward_factory(worker_index: int) -> RewardFn:
         return make_reward_fn(setup, config, worker_index)
 
+    def search(backend: Optional[SearchBackend]):
+        return parallel_search(
+            trees,
+            config=config.search,
+            executor=executor,
+            mapping_memo=setup.memo,
+            engine_factory=engine_factory,
+            reward_factory=reward_factory,
+            reward_table=reward_table,
+            backend=backend,
+        )
+
     search_start = time.perf_counter()
+    pool = None
     try:
         with span("pipeline.search", workers=config.search.workers):
-            result = parallel_search(
-                trees,
-                config=config.search,
-                executor=executor,
-                mapping_memo=setup.memo,
-                engine_factory=engine_factory,
-                reward_factory=reward_factory,
-                process_spec=_process_spec_for(catalog, asts, config),
-                reward_table=reward_table,
-                backend_instance=runtime.backend_instance,
-            )
+            backend = runtime.backend
+            if backend is None and resolve_backend_name(config.search.backend) == "process":
+                # one-shot process search: a pool over this request's
+                # catalogue serves one task under the same supervision
+                # (replace-and-replay, task_retries) as the service's pool.
+                # Imported here so the core pipeline has no hard dependency
+                # on the service layer
+                from ..service.pool import WorkerPool
+
+                pool = WorkerPool(catalog, config.search.workers)
+                backend = ProcessBackend(pool, asts, config)
+            result = search(backend)
     except (faults.WorkerFailure, faults.DeadlineExceeded):
-        if runtime.backend_instance is not None:
+        if runtime.backend is not None:
             # a service-managed backend: its degradation ladder (fresh pool,
             # then serial) owns the recovery — don't double-degrade here
             raise
-        # one-shot process backend failed beyond its own retries: re-run on
-        # the serial in-process backend.  Rewards are pure functions of
-        # (seed, state), so the serial result is byte-identical to what the
-        # process run would have produced
-        from ..search.backends.serial import SerialBackend
-
+        # the one-shot pool could not recover: re-run on the serial
+        # in-process backend.  Rewards are pure functions of (seed, state),
+        # so the serial result is byte-identical to what the process run
+        # would have produced
         with span("pipeline.search", workers=config.search.workers, degraded="serial"):
-            result = parallel_search(
-                trees,
-                config=config.search,
-                executor=executor,
-                mapping_memo=setup.memo,
-                engine_factory=engine_factory,
-                reward_factory=reward_factory,
-                reward_table=reward_table,
-                backend_instance=SerialBackend(),
-            )
+            result = search(None)
         result.stats.degraded = "serial"
+    finally:
+        if pool is not None:
+            pool.close()
     search_seconds = time.perf_counter() - search_start
     if runtime.pool is not None:
         result.stats.pool = runtime.pool
@@ -446,6 +380,10 @@ def generate_interface(
         registry.counter("persist.rejects").inc(cache_store.load_rejects)
         registry.counter("persist.saves").inc(cache_store.saves)
     registry.merge(result.stats.metrics)  # workers.* (process backend)
+    if pool is not None:
+        # the one-shot pool's supervision counters (worker failures,
+        # replacements, task replays); the service reports its own pool's
+        registry.merge(pool.supervisor.snapshot())
     GLOBAL_METRICS.merge(registry.snapshot())
 
     return PipelineResult(

@@ -14,7 +14,7 @@ per-worker drift.
 
 ``DETERMINISTIC_SEARCH_METRICS`` names the search metrics whose merged
 totals are a pure function of (seed, workload, worker count) — equal across
-the serial, thread and process backends on pinned seeds.  Wall-clock gauges
+the serial and process backends on pinned seeds.  Wall-clock gauges
 and cache-shape counters are deliberately outside that set: per-process
 caches make e.g. ``plans_compiled`` backend-dependent even though results
 are byte-identical.

@@ -1,22 +1,14 @@
 """Monte Carlo Tree Search over Difftree states (paper Section 6.2)."""
 
-from .backends import (
-    ProcessBackend,
-    RewardTable,
-    SearchBackend,
-    SerialBackend,
-    ThreadBackend,
-    get_backend,
-)
+from .backends import ProcessBackend, RewardTable, SearchBackend, SerialBackend
 from .config import SearchConfig, SearchStats
 from .mcts import MCTSNode, MCTSWorker, RewardFn, search_difftrees
-from .parallel import ParallelCoordinator, ParallelSearchResult, parallel_search
+from .parallel import ParallelSearchResult, parallel_search
 from .state import SearchState
 
 __all__ = [
     "MCTSNode",
     "MCTSWorker",
-    "ParallelCoordinator",
     "ParallelSearchResult",
     "ProcessBackend",
     "RewardFn",
@@ -26,8 +18,6 @@ __all__ = [
     "SearchState",
     "SearchStats",
     "SerialBackend",
-    "ThreadBackend",
-    "get_backend",
     "parallel_search",
     "search_difftrees",
 ]

@@ -4,13 +4,13 @@ The parallel MCTS coordinator delegates *how* its ``p`` workers execute to a
 backend:
 
 * ``"serial"`` — deterministic round-robin in the calling thread (the
-  default, and the reference semantics every other backend must match);
-* ``"thread"`` — one OS thread per worker;
-* ``"process"`` — one OS process per worker, each rebuilding catalogue +
-  executor from a picklable spec and exchanging compact sync messages with
-  the coordinator (true wall-clock parallelism).
+  default, and the reference semantics the process backend must match);
+* ``"process"`` — one OS process per worker on a
+  :class:`~repro.service.pool.WorkerPool`: each worker rebuilds its reward
+  context from the request and exchanges compact sync messages with the
+  coordinator (true wall-clock parallelism).
 
-All backends share one synchronization protocol — best-state broadcast plus
+Both backends share one synchronization protocol — best-state broadcast plus
 cross-worker reward-table delta merges every ``sync_interval`` iterations —
 implemented in :mod:`repro.search.backends.base`.  Select a backend through
 :attr:`repro.search.config.SearchConfig.backend` or the
@@ -24,7 +24,6 @@ from typing import Optional
 
 from .base import (
     ParallelSearchResult,
-    ProcessWorkerSpec,
     RewardTable,
     SearchBackend,
     SearchJob,
@@ -33,63 +32,41 @@ from .base import (
 )
 from .process import ProcessBackend
 from .serial import SerialBackend
-from .thread import ThreadBackend
 
-BACKENDS = {
-    "serial": SerialBackend,
-    "thread": ThreadBackend,
-    "process": ProcessBackend,
-}
+#: The values ``SearchConfig.backend``, ``--backend`` and
+#: ``REPRO_SEARCH_BACKEND`` accept.
+BACKEND_NAMES = ("serial", "process")
 
 #: Environment override consulted by :func:`resolve_backend_name` — lets CI
 #: re-run the whole test suite under a different backend without code changes.
 BACKEND_ENV_VAR = "REPRO_SEARCH_BACKEND"
 
 
-def resolve_backend_name(
-    requested: Optional[str], has_process_spec: bool
-) -> str:
+def resolve_backend_name(requested: Optional[str]) -> str:
     """The backend to actually run.
 
     Precedence: ``REPRO_SEARCH_BACKEND`` environment variable, then the
-    requested (config) name, then ``"serial"``.  A process request without a
-    picklable worker spec falls back to serial — searches driven by plain
-    closures (tests, ablations) cannot cross a process boundary.
+    requested (config) name, then ``"serial"``.
     """
     name = os.environ.get(BACKEND_ENV_VAR) or requested or "serial"
     name = name.strip().lower()
-    if name not in BACKENDS:
+    if name not in BACKEND_NAMES:
         raise ValueError(
-            f"unknown search backend {name!r}; choose from {sorted(BACKENDS)}"
+            f"unknown search backend {name!r}; choose from {list(BACKEND_NAMES)}"
         )
-    if name == "process" and not has_process_spec:
-        return "serial"
     return name
 
 
-def get_backend(name: str) -> SearchBackend:
-    """Instantiate the backend registered under ``name``."""
-    try:
-        return BACKENDS[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown search backend {name!r}; choose from {sorted(BACKENDS)}"
-        ) from None
-
-
 __all__ = [
-    "BACKENDS",
     "BACKEND_ENV_VAR",
+    "BACKEND_NAMES",
     "ParallelSearchResult",
     "ProcessBackend",
-    "ProcessWorkerSpec",
     "RewardTable",
     "SearchBackend",
     "SearchJob",
     "SerialBackend",
-    "ThreadBackend",
     "dump_state",
-    "get_backend",
     "load_state",
     "resolve_backend_name",
 ]

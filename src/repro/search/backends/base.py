@@ -1,10 +1,9 @@
 """Shared machinery of the search-execution backends.
 
 A *backend* decides how the ``p`` MCTS workers of a parallel search execute:
-round-robin in the coordinator's thread (:class:`~repro.search.backends.serial.SerialBackend`),
-one OS thread per worker (:class:`~repro.search.backends.thread.ThreadBackend`),
+round-robin in the coordinator's thread (:class:`~repro.search.backends.serial.SerialBackend`)
 or one OS process per worker (:class:`~repro.search.backends.process.ProcessBackend`).
-All three run the *same synchronization protocol* (paper Section 6.2.1):
+Both run the *same synchronization protocol* (paper Section 6.2.1):
 
 1. every worker runs ``sync_interval`` iterations of its own search;
 2. the coordinator gathers each worker's best state and its *reward delta*
@@ -18,7 +17,7 @@ All three run the *same synchronization protocol* (paper Section 6.2.1):
 Because the reward table is only mutated at these barriers (workers buffer
 new rewards locally during a round), the protocol is deterministic for a
 fixed seed and worker count *no matter how the rounds are scheduled* — which
-is what lets the serial, thread and process backends produce byte-identical
+is what lets the serial and process backends produce byte-identical
 interfaces from the same configuration.
 """
 
@@ -125,26 +124,6 @@ class RewardTable:
             }
 
 
-class ProcessWorkerSpec(Protocol):
-    """A picklable recipe for rebuilding one worker's search context.
-
-    The process backend cannot ship closures to worker processes, so callers
-    that want true multiprocess execution provide a spec that each child
-    unpickles and asks to rebuild everything a worker needs — catalogue,
-    executor, transformation engine and reward function — inside its own
-    process (see :class:`repro.core.pipeline.PipelineWorkerSpec`).
-    """
-
-    def build(
-        self, worker_index: int, config: SearchConfig
-    ) -> tuple["TransformEngine", RewardFn]:  # pragma: no cover - protocol
-        ...
-
-    def cache_info(self) -> tuple[Optional[dict], Optional[dict]]:
-        """(plan-cache info, mapping-memo info) after the worker ran."""
-        ...  # pragma: no cover - protocol
-
-
 @dataclass
 class SearchJob:
     """Everything a backend needs to run one parallel search."""
@@ -156,15 +135,14 @@ class SearchJob:
     engine: Optional["TransformEngine"] = None
     reward_fn: Optional[RewardFn] = None
     #: per-worker factories: workers with private engines (rule-application
-    #: caches) and private reward-RNG streams behave identically on every
-    #: backend, which the shared factories cannot guarantee under threads
+    #: caches) and private reward-RNG streams behave identically on both
+    #: backends; a shared engine couples serial workers through its cache,
+    #: which process workers (each owning an engine) cannot reproduce
     engine_factory: Optional[Callable[[int], "TransformEngine"]] = None
     reward_factory: Optional[Callable[[int], RewardFn]] = None
     #: diagnostics sinks surfaced through :class:`SearchStats`
     executor: Optional["Executor"] = None
     mapping_memo: Optional["MappingMemo"] = None
-    #: picklable worker recipe enabling the process backend
-    process_spec: Optional[ProcessWorkerSpec] = None
     #: pre-populated cross-worker reward table (persisted-cache reloads and
     #: warm generation-service pools hand one in so previously explored
     #: states are answered from the table instead of re-evaluated); backends

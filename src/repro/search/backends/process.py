@@ -1,34 +1,44 @@
-"""True multiprocess MCTS: one OS process per worker.
+"""The process backend: MCTS workers in OS processes, coordinated over pipes.
 
-Each worker process unpickles a :class:`~repro.search.backends.base.ProcessWorkerSpec`,
-rebuilds catalogue + executor + transformation engine + reward function
-inside its own interpreter, warms its private plan cache / mapping memo by
-evaluating the initial state, and then exchanges compact sync messages with
-the coordinator every ``sync_interval`` iterations.
+:class:`ProcessBackend` runs a search as one task on a
+:class:`repro.service.pool.WorkerPool`, the only process-worker lifecycle
+(spawn, ready handshake, supervision, replace-and-replay, teardown).  The
+generation service keeps its pool alive across requests; a one-shot
+``--backend process`` search opens a pool over the request's catalogue, runs
+its single task and closes it (:func:`repro.core.pipeline.generate_interface`),
+so both paths share one worker main, one protocol and one recovery story.
 
 Wire protocol (pickled tuples over a :func:`multiprocessing.Pipe` pair):
 
 ========================  ===================================================
 coordinator → worker      meaning
 ========================  ===================================================
+``("task", bytes)``       start a search: the pickled task carries the
+                          request context (queries + pipeline config), the
+                          search config, initial state, reward-table seed
+                          and fault plan
 ``("round", n, adopt,     run ``n`` iterations; ``adopt`` is ``(state bytes,
   reward, delta)``        reward)`` of the global best or ``None``; ``delta``
                           is the reward-table entries merged last round
-``("finish",)``           send final state + stats and exit (one-shot
-                          workers) or return to idle (pooled workers, see
-                          :mod:`repro.service.pool`)
+``("finish",)``           send final state + stats and return to idle
+``("abort",)``            drop the current task (supervision replays it)
+``("shutdown",)``         exit
 ========================  ===================================================
 
 ========================  ===================================================
 worker → coordinator      meaning
 ========================  ===================================================
-``("ready", warmup_s)``   context rebuilt, initial state evaluated
+``("ready",)``            catalogue attached; the worker idles for tasks
+``("task-ready",          request context built, initial state evaluated;
+  warmup_s, metrics)``    ``metrics`` is the worker's pool-lifetime registry
 ``("sync", seq, fp,       end-of-round report: the round sequence number,
   reward, state?,         best fingerprint + reward, serialized trees only
   pending, stale)``       when the best changed since the last report, this
                           round's reward delta, and the staleness counter
 ``("done", state, reward, final best state (serialized), reward, and the
   stats)``                worker's :class:`SearchStats`
+``("aborted",)``          the task was dropped; the worker is idle again
+``("bye",)``              acknowledges ``shutdown``
 ``("error", repr)``       an exception escaped the worker loop
 ========================  ===================================================
 
@@ -42,13 +52,9 @@ replies carry a sequence number so a duplicated message (see
 :mod:`repro.faults`) is discarded instead of desynchronizing the protocol,
 and a dropped one is caught by the deadline.
 
-The ``round``/``sync``/``finish`` core of the protocol is factored into
-:func:`serve_search` (worker side) and :func:`drive_search` (coordinator
-side) so the long-lived generation service (:mod:`repro.service.pool`) can
-keep worker processes alive across searches: a pooled worker runs
-:func:`serve_search` once per task and then idles for the next one instead
-of tearing down, which is what lets repeat generations skip process spawn
-and per-process cache warm-up entirely.
+The ``round``/``sync``/``finish`` core is :func:`serve_search` (worker side)
+and :func:`drive_search` (coordinator side); the pool wraps them with the
+``task`` handshake and the replace-and-replay loop.
 
 The protocol is deterministic for a fixed seed / worker count: reward deltas
 merge in worker order at barriers, each worker draws node ids from its own id
@@ -59,15 +65,12 @@ ones the serial backend produces for the same configuration.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import pickle
 import time
 from multiprocessing import connection as _mp_connection
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from ... import faults
-from ...difftree.nodes import worker_id_counter
 from ...faults import DeadlineExceeded, WorkerFailure
 from ...obs import TRACER, span
 from ..config import SearchConfig, SearchStats
@@ -86,36 +89,13 @@ from .base import (
     round_sizes,
 )
 
-#: Environment override for the multiprocessing start method.
-MP_START_ENV_VAR = "REPRO_MP_START"
-
-
-def _mp_context():
-    """The multiprocessing start method: fork where available (fast, no
-    re-import), spawn otherwise; ``REPRO_MP_START`` overrides.
-
-    The override is validated against the platform's supported methods so a
-    typo (``REPRO_MP_START=frok``) fails with an actionable error instead of
-    leaking an arbitrary string into ``multiprocessing.get_context``.
-    """
-    method = os.environ.get(MP_START_ENV_VAR)
-    if method:
-        method = method.strip().lower()
-        allowed = multiprocessing.get_all_start_methods()
-        if method not in allowed:
-            raise ValueError(
-                f"invalid {MP_START_ENV_VAR}={method!r}: allowed start "
-                f"methods on this platform are {', '.join(sorted(allowed))}"
-            )
-        return multiprocessing.get_context(method)
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context("spawn")
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ...service.pool import WorkerPool
 
 
 def supervised_recv(
     conn,
-    process=None,
+    process,
     deadline_at: Optional[float] = None,
     request_deadline_at: Optional[float] = None,
     worker: Optional[int] = None,
@@ -141,10 +121,7 @@ def supervised_recv(
             raise WorkerFailure(worker, "hung", "no reply within the round deadline")
         limits = [d for d in (deadline_at, request_deadline_at) if d is not None]
         timeout = (min(limits) - now) if limits else None
-        waitables = [conn]
-        if process is not None:
-            waitables.append(process.sentinel)
-        ready = _mp_connection.wait(waitables, timeout=timeout)
+        ready = _mp_connection.wait([conn, process.sentinel], timeout=timeout)
         if not ready:
             continue  # loop re-checks which deadline actually tripped
         if conn in ready:
@@ -154,9 +131,10 @@ def supervised_recv(
                 raise WorkerFailure(
                     worker, "crashed", f"connection dropped mid-protocol ({exc!r})"
                 ) from exc
-        exitcode = getattr(process, "exitcode", None)
         raise WorkerFailure(
-            worker, "crashed", f"process exited (exitcode={exitcode}) before replying"
+            worker,
+            "crashed",
+            f"process exited (exitcode={process.exitcode}) before replying",
         )
 
 
@@ -167,16 +145,6 @@ def check_reply(reply, kind: str, worker: Optional[int] = None):
     if reply[0] != kind:
         raise WorkerFailure(worker, "protocol", f"expected {kind!r} reply, got {reply[0]!r}")
     return reply
-
-
-def expect_reply(conn, kind: str):
-    """Receive the next worker message, unwrapping ``error`` replies.
-
-    Sentinel-free convenience used where no process handle is at hand; a
-    dead peer still surfaces as :class:`WorkerFailure` via the dropped
-    connection rather than a hang.
-    """
-    return check_reply(supervised_recv(conn), kind)
 
 
 # ---------------------------------------------------------------------------
@@ -190,29 +158,28 @@ def serve_search(
     table: Optional[RewardTable],
     warmup_seconds: float,
     cache_info: Callable[[], tuple[Optional[dict], Optional[dict]]],
-    metrics_snapshot: Optional[Callable[[], Optional[dict]]] = None,
-    worker_index: int = 0,
+    metrics_snapshot: Callable[[], dict],
+    worker_index: int,
 ) -> bool:
     """Serve ``round`` messages for one search until ``finish`` / ``abort``.
 
-    Shared by the one-shot worker main below and the pooled worker main in
-    :mod:`repro.service.pool` — the pooled variant calls this once per task
-    and then returns to its idle loop instead of exiting.  Returns ``True``
-    when the search finished, ``False`` when the coordinator aborted it
-    (supervision is replaying the task after another worker failed).
+    The pool's worker main (:mod:`repro.service.pool`) calls this once per
+    task and then returns to its idle loop.  Returns ``True`` when the
+    search finished, ``False`` when the coordinator aborted it (supervision
+    is replaying the task after another worker failed).
     """
     last_sent_fp: Optional[str] = None
     seq = 0
     while True:
         # worker side: the coordinator's death surfaces as EOFError, caught
-        # by the worker mains — a deadline here would only limit idle time
+        # by the worker main — a deadline here would only limit idle time
         message = conn.recv()  # repro: allow-unbounded-recv -- EOFError on coordinator death is the liveness signal
         if message[0] == "round":
             _, round_size, adopt_bytes, adopt_reward, delta = message
             if table is not None and delta:
                 # entries the coordinator merged last round (including
                 # other workers' deltas) land in this replica before the
-                # round starts, mirroring the in-process backends
+                # round starts, mirroring the serial backend's shared table
                 table.seed(delta)
             if adopt_bytes is not None:
                 worker.adopt(load_state(adopt_bytes), adopt_reward)
@@ -253,11 +220,10 @@ def serve_search(
             stats.mapping_memo = memo_info
             if table is not None:
                 stats.reward_table = table.info()
-            if metrics_snapshot is not None:
-                stats.metrics = metrics_snapshot()
+            stats.metrics = metrics_snapshot()
             if TRACER.enabled:
                 # ship this process's span events to the coordinator (drain,
-                # so a pooled worker never re-sends a previous task's spans)
+                # so a worker never re-sends a previous task's spans)
                 stats.spans = TRACER.take_events()
             conn.send(
                 ("done", dump_state(worker.best_state), worker.best_reward, stats)
@@ -265,55 +231,6 @@ def serve_search(
             return True
         else:  # pragma: no cover - defensive
             raise RuntimeError(f"unknown command {message[0]!r}")
-
-
-def _worker_main(conn, payload_bytes: bytes, worker_index: int) -> None:
-    """Entry point of one one-shot worker process."""
-    try:
-        payload = pickle.loads(payload_bytes)
-        spec = payload["spec"]
-        config: SearchConfig = payload["config"]
-        shared_rewards: bool = payload["shared_rewards"]
-        # the coordinator's fault plan rides in the payload so injection does
-        # not depend on environment inheritance or start-method timing
-        faults.install_local(payload.get("faults"))
-
-        warmup_start = time.perf_counter()
-        engine, reward_fn = spec.build(worker_index, config)
-        initial = load_state(payload["initial_state"])
-        table = RewardTable() if shared_rewards else None
-        if table is not None and payload.get("table_seed"):
-            # persisted rewards from an earlier run over the same
-            # (catalogue, workload): plant them before the initial-state
-            # evaluation so even a fresh process resumes warm
-            table.seed(payload["table_seed"])
-        worker = MCTSWorker(
-            initial,
-            engine,
-            reward_fn,
-            config,
-            rng=config.rng(offset=worker_index + 1),
-            reward_table=table,
-            id_space=worker_id_counter(worker_index),
-        )
-        warmup_seconds = time.perf_counter() - warmup_start
-        conn.send(("ready", warmup_seconds))
-        serve_search(
-            conn,
-            worker,
-            table,
-            warmup_seconds,
-            spec.cache_info,
-            metrics_snapshot=getattr(spec, "metrics_snapshot", None),
-            worker_index=worker_index,
-        )
-    except Exception as exc:  # pragma: no cover - crash reporting path
-        try:
-            conn.send(("error", repr(exc)))
-        except Exception:
-            pass
-    finally:
-        conn.close()
 
 
 # ---------------------------------------------------------------------------
@@ -325,18 +242,17 @@ def drive_search(
     connections: list,
     config: SearchConfig,
     table: Optional[RewardTable],
-    processes: Optional[list] = None,
+    processes: list,
     request_deadline_at: Optional[float] = None,
 ) -> tuple[list, int, int, bool]:
     """Drive the round / sync / finish protocol over live worker connections.
 
     Returns ``(finals, total_iterations, sync_rounds, early_stopped)`` where
     ``finals`` is each worker's ``("done", state, reward, stats)`` reply.
-    The caller owns the connections: the one-shot backend tears its workers
-    down afterwards, the pooled backend leaves them idling for the next task.
+    The caller (the pool) owns the connections; the workers idle afterwards.
 
-    Supervision: when ``processes`` is given, every receive watches the
-    worker's sentinel and the config's per-round deadline
+    Supervision: every receive watches the worker's process sentinel
+    (``processes[index]``) and the config's per-round deadline
     (``round_deadline_seconds``); crashes and hangs raise
     :class:`WorkerFailure` with the failing worker's index, and an expired
     ``request_deadline_at`` raises :class:`DeadlineExceeded`.  Duplicate
@@ -356,14 +272,13 @@ def drive_search(
             ) from exc
 
     def _receive(index: int, kind: str, expected_seq: Optional[int] = None):
-        process = processes[index] if processes is not None else None
         deadline_at = (
             time.monotonic() + round_deadline if round_deadline else None
         )
         while True:
             reply = supervised_recv(
                 connections[index],
-                process,
+                processes[index],
                 deadline_at=deadline_at,
                 request_deadline_at=request_deadline_at,
                 worker=index,
@@ -440,174 +355,106 @@ def drive_search(
     return finals, total_iterations, sync_rounds, early_stopped
 
 
-def finalize_search(
-    backend_name: str,
-    job: SearchJob,
-    finals: list,
-    warmups: list[float],
-    table: Optional[RewardTable],
-    total_iterations: int,
-    sync_rounds: int,
-    early_stopped: bool,
-    start: float,
-    warmup_wall: float,
-) -> ParallelSearchResult:
-    """Fold per-worker ``done`` replies into a :class:`ParallelSearchResult`."""
-    worker_stats: list[SearchStats] = [f[3] for f in finals]
-    for stats, warmup in zip(worker_stats, warmups):
-        stats.warmup_seconds = warmup
-        # adopt worker-process span events into the coordinator's tracer so
-        # one exported trace shows every process; drop them from the stats
-        # afterwards (they are transport, not a per-worker diagnostic)
-        if stats.spans:
-            TRACER.extend(stats.spans)
-            stats.spans = None
-    best = max(range(len(finals)), key=lambda w: finals[w][2])
-    best_state = load_state(finals[best][1])
-    best_reward = finals[best][2]
-
-    stats = aggregate_stats(
-        backend_name,
-        worker_stats,
-        worker_stats[best],
-        best_reward,
-        total_iterations,
-        sync_rounds,
-        early_stopped or any(w.early_stopped for w in worker_stats),
-        time.perf_counter() - start,
-        job,
-        # caches live in the worker processes; surface the best worker's
-        # snapshots as the aggregate view (per-worker stats carry the rest)
-        plan_cache_info=worker_stats[best].plan_cache,
-        mapping_memo_info=worker_stats[best].mapping_memo,
-        warmup_seconds=warmup_wall,
-    )
-    if table is not None:
-        # the lookups all happened against the worker replicas — fold
-        # their counters over the coordinator table's entry count so the
-        # snapshot means the same thing it does on serial / thread
-        stats.reward_table = {
-            "rewards": table.size(),
-            "hits": sum((w.reward_table or {}).get("hits", 0) for w in worker_stats),
-            "misses": sum(
-                (w.reward_table or {}).get("misses", 0) for w in worker_stats
-            ),
-        }
-    return ParallelSearchResult(best_state, best_reward, stats, worker_stats)
+# ---------------------------------------------------------------------------
+# the backend
+# ---------------------------------------------------------------------------
 
 
 class ProcessBackend:
-    """One OS process per MCTS worker, coordinated over pipes."""
+    """One search as one task on a live :class:`~repro.service.pool.WorkerPool`.
+
+    ``asts`` and ``pipeline_config`` are the request's queries and
+    configuration: each worker rebuilds its reward context from them over
+    the pool's catalogue.  The pool supervises the task (replace-and-replay
+    up to ``SearchConfig.task_retries``) and re-raises what it cannot
+    recover from; the caller decides how to degrade.
+    """
 
     name = "process"
 
+    def __init__(self, pool: "WorkerPool", asts: Sequence, pipeline_config) -> None:
+        self.pool = pool
+        # pickled here, once, and shipped as one opaque blob: workers key
+        # their per-process reward-setup cache by its SHA-256, so
+        # byte-identical repeat requests skip the rebuild
+        self._context = pickle.dumps(
+            (list(asts), pipeline_config), protocol=pickle.HIGHEST_PROTOCOL
+        )
+
     def run(self, job: SearchJob) -> ParallelSearchResult:
-        if job.process_spec is None:
-            raise ValueError(
-                "the process backend needs a picklable worker spec "
-                "(SearchJob.process_spec); see repro.search.backends"
-            )
         config = job.config
         start = time.perf_counter()
-        workers = max(1, config.workers)
-        ctx = _mp_context()
+        was_warm = self.pool.warm
 
-        # persisted rewards handed in by the caller (cache_dir runs) are
-        # shipped to every worker replica and pre-merged into the
-        # coordinator's authoritative table
-        table_seed = (
-            job.reward_table.snapshot()
-            if job.reward_table is not None and config.shared_rewards
-            else {}
-        )
+        # the coordinator keeps the authoritative reward table (the caller's
+        # pre-populated one when given); worker replicas start from its
+        # snapshot and are refreshed with the merged delta of each round
+        table: Optional[RewardTable] = None
+        if config.shared_rewards:
+            table = job.reward_table if job.reward_table is not None else RewardTable()
+        table_seed = table.snapshot() if table is not None else {}
 
-        # one payload for all workers (the spec — catalogue included — is
-        # pickled exactly once; only the worker index differs per process)
-        payload = pickle.dumps(
-            {
-                "spec": job.process_spec,
-                "config": config,
-                "shared_rewards": config.shared_rewards,
-                "initial_state": dump_state(SearchState(job.initial_trees)),
-                "table_seed": table_seed,
-                "faults": faults.current_spec(),
-            },
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        request_deadline = getattr(config, "request_deadline_seconds", None)
-        request_deadline_at = (
-            time.monotonic() + request_deadline if request_deadline else None
-        )
-        round_deadline = getattr(config, "round_deadline_seconds", None)
-        connections = []
-        processes = []
-        try:
-            for w in range(workers):
-                parent_conn, child_conn = ctx.Pipe()
-                process = ctx.Process(
-                    target=_worker_main, args=(child_conn, payload, w), daemon=True
-                )
-                process.start()
-                child_conn.close()
-                connections.append(parent_conn)
-                processes.append(process)
-
-            warmups = []
-            for index, conn in enumerate(connections):
-                ready_deadline_at = (
-                    time.monotonic() + round_deadline if round_deadline else None
-                )
-                reply = supervised_recv(
-                    conn,
-                    processes[index],
-                    deadline_at=ready_deadline_at,
-                    request_deadline_at=request_deadline_at,
-                    worker=index,
-                )
-                warmups.append(check_reply(reply, "ready", worker=index)[1])
-            # wall-clock until every worker finished rebuilding + evaluating
-            # the initial state (they warm concurrently); per-worker costs
-            # are surfaced through the individual worker stats
-            warmup_wall = time.perf_counter() - start
-
-            # the coordinator keeps the authoritative reward table; worker
-            # replicas are refreshed with the merged delta of each round
-            table: Optional[RewardTable] = (
-                job.reward_table
-                if job.reward_table is not None and config.shared_rewards
-                else (RewardTable() if config.shared_rewards else None)
-            )
-
-            finals, total_iterations, sync_rounds, early_stopped = drive_search(
-                connections,
-                config,
-                table,
-                processes=processes,
-                request_deadline_at=request_deadline_at,
-            )
-        finally:
-            for conn in connections:
-                try:
-                    conn.close()
-                except Exception:
-                    pass
-            for process in processes:
-                process.join(timeout=30)
-                if process.is_alive():  # pragma: no cover - defensive
-                    process.terminate()
-                    process.join(timeout=5)
-
-        result = finalize_search(
-            self.name,
-            job,
-            finals,
-            warmups,
+        task = {
+            "context": self._context,
+            "search_config": config,
+            "initial_state": dump_state(SearchState(job.initial_trees)),
+            "table_seed": table_seed,
+        }
+        deadline = config.request_deadline_seconds
+        finals, total_iterations, sync_rounds, early_stopped = self.pool.run_task(
+            task,
+            config,
             table,
+            request_deadline_at=time.monotonic() + deadline if deadline else None,
+        )
+
+        worker_stats: list[SearchStats] = [f[3] for f in finals]
+        # a cold pool reports its spawn plus the slowest worker's context
+        # build, so the amortization is visible; a warm pool paid both when
+        # it served its first task
+        warmup_wall = 0.0
+        if not was_warm:
+            warmup_wall = self.pool.spawn_seconds + max(
+                w.warmup_seconds for w in worker_stats
+            )
+        for w in worker_stats:
+            if was_warm:
+                w.warmup_seconds = 0.0
+            # adopt worker-process span events into the coordinator's tracer
+            # so one exported trace shows every process; drop them from the
+            # stats afterwards (they are transport, not a diagnostic)
+            if w.spans:
+                TRACER.extend(w.spans)
+                w.spans = None
+        best = max(range(len(finals)), key=lambda w: finals[w][2])
+        stats = aggregate_stats(
+            self.name,
+            worker_stats,
+            worker_stats[best],
+            finals[best][2],
             total_iterations,
             sync_rounds,
-            early_stopped,
-            start,
-            warmup_wall,
+            early_stopped or any(w.early_stopped for w in worker_stats),
+            time.perf_counter() - start,
+            job,
+            # caches live in the worker processes; surface the best worker's
+            # snapshots as the aggregate view (per-worker stats carry the rest)
+            plan_cache_info=worker_stats[best].plan_cache,
+            mapping_memo_info=worker_stats[best].mapping_memo,
+            warmup_seconds=warmup_wall,
         )
-        result.stats.reward_table_loaded = len(table_seed)
-        return result
+        if table is not None:
+            # the lookups all happened against the worker replicas — fold
+            # their counters over the coordinator table's entry count so the
+            # snapshot means the same thing it does on the serial backend
+            stats.reward_table = {
+                "rewards": table.size(),
+                "hits": sum((w.reward_table or {}).get("hits", 0) for w in worker_stats),
+                "misses": sum(
+                    (w.reward_table or {}).get("misses", 0) for w in worker_stats
+                ),
+            }
+        stats.reward_table_loaded = len(table_seed)
+        return ParallelSearchResult(
+            load_state(finals[best][1]), finals[best][2], stats, worker_stats
+        )

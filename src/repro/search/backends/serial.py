@@ -1,13 +1,11 @@
 """The serial backend: deterministic round-robin in the coordinator's thread.
 
-:class:`_LocalBackend` holds the coordinator loop shared with the thread
-backend (:mod:`repro.search.backends.thread`): both keep their
-:class:`~repro.search.mcts.MCTSWorker` instances in this process and differ
-only in how a round's iterations are scheduled.  Because workers share no
-mutable search state (private engines and reward-RNG streams via the job's
-factories, private reward caches, reward-table merges only at barriers), the
-two schedules produce byte-identical results — which ``tests/test_backends.py``
-pins across all workloads.
+Every :class:`~repro.search.mcts.MCTSWorker` lives in this process and runs
+its round in worker order.  Because workers share no mutable search state
+(private engines and reward-RNG streams via the job's factories, private
+reward caches, reward-table merges only at barriers), this schedule is the
+reference semantics the process backend reproduces byte for byte — which
+``tests/test_backends.py`` and ``tests/test_service.py`` pin.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ import time
 from typing import Optional
 
 from ...obs import span
-from ..config import SearchConfig
 from ..mcts import MCTSWorker
 from .base import (
     ParallelSearchResult,
@@ -30,22 +27,14 @@ from .base import (
 )
 
 
-class _LocalBackend:
-    """Common coordinator loop for the serial and thread backends."""
+class SerialBackend:
+    """Round-robin execution in the coordinator's thread (deterministic)."""
 
-    name = "local"
+    name = "serial"
 
     def __init__(self) -> None:
         #: exposed for post-run inspection (tests reach into the workers)
         self.workers: list[MCTSWorker] = []
-        #: True when every worker owns its engine (set per run)
-        self._private_engines = False
-
-    # overridden by ThreadBackend
-    def _run_round(self, workers: list[MCTSWorker], round_size: int) -> None:
-        for worker in workers:
-            for _ in range(round_size):
-                worker.run_iteration()
 
     def run(self, job: SearchJob) -> ParallelSearchResult:
         config = job.config
@@ -62,12 +51,6 @@ class _LocalBackend:
         self.workers = [
             job.make_worker(w, table) for w in range(max(1, config.workers))
         ]
-        # concurrent round scheduling (the thread backend) is only sound when
-        # every worker owns its engine: the engine's rule-application cache
-        # samples with the populating worker's RNG, so sharing one across
-        # concurrently-running workers is racy and nondeterministic
-        engine_ids = {id(w.engine) for w in self.workers}
-        self._private_engines = len(engine_ids) == len(self.workers)
         # the workers' initial-state evaluations all hit cold per-worker
         # caches; merge them immediately so round 1 already shares them
         if table is not None:
@@ -80,7 +63,9 @@ class _LocalBackend:
         early_stopped = False
         for round_size in round_sizes(config):
             with span("search.round", round=sync_rounds, size=round_size):
-                self._run_round(self.workers, round_size)
+                for worker in self.workers:
+                    for _ in range(round_size):
+                        worker.run_iteration()
             total_iterations += round_size * len(self.workers)
 
             # synchronization: merge reward deltas, broadcast the best state
@@ -128,9 +113,3 @@ class _LocalBackend:
             stats,
             [w.stats for w in self.workers],
         )
-
-
-class SerialBackend(_LocalBackend):
-    """Round-robin execution in the coordinator's thread (deterministic)."""
-
-    name = "serial"

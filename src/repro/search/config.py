@@ -33,10 +33,12 @@ class SearchConfig:
         max_applications: cap on enumerated rule applications per state.
         seed: seed for all randomness (reproducibility).
         backend: search-execution backend — ``"serial"`` (deterministic
-            round-robin in one thread), ``"thread"`` (one OS thread per
-            worker), or ``"process"`` (one OS process per worker; requires a
-            picklable worker spec, see :mod:`repro.search.backends`).  The
-            ``REPRO_SEARCH_BACKEND`` environment variable overrides this.
+            round-robin in one thread) or ``"process"`` (one OS process per
+            worker on a supervised worker pool, see
+            :mod:`repro.search.backends`).  The ``REPRO_SEARCH_BACKEND``
+            environment variable overrides this.  Only the pipeline and the
+            generation service act on it; a bare
+            :func:`~repro.search.parallel.parallel_search` runs serially.
         shared_rewards: share every worker's newly evaluated rewards through
             the cross-worker reward table at each synchronization round, so
             overlapping states are evaluated once globally instead of once
@@ -48,15 +50,16 @@ class SearchConfig:
             but never trajectories: results are byte-identical with sharing
             on or off, cold or warm.
         round_deadline_seconds: supervision deadline on every worker reply
-            in the process protocols (spawn ``ready``, per-round ``sync``,
+            in the process protocol (``task-ready``, per-round ``sync``,
             final ``done``): a worker silent for longer is declared hung and
             replaced / retried.  ``None`` disables hang detection (crashes
             are still caught through process sentinels).
         request_deadline_seconds: wall-clock budget for one whole search
-            request; when it expires the service degrades to the serial
+            request; when it expires the search degrades to the serial
             in-process backend instead of waiting (``None``: no budget).
-        task_retries: supervised replays of a pooled task after a worker
-            failure before the pool gives up and the service degrades.
+        task_retries: supervised replays of a process task after a worker
+            failure before the pool gives up and the search degrades (the
+            service's ladder, or a one-shot run's serial fall-back).
         retry_backoff_seconds: base of the jittered exponential backoff
             slept between those replays (deterministic per seed — see
             :func:`repro.faults.backoff_delays`).
@@ -123,9 +126,10 @@ class SearchStats:
     #: every worker's reward mapper; populated when the coordinator is given
     #: the memo)
     mapping_memo: Optional[dict] = None
-    #: the backend that actually ran the search ("serial", "thread",
-    #: "process"); may differ from the requested backend when the process
-    #: backend had no picklable worker spec and fell back to serial
+    #: the backend that actually ran the search (``"serial"`` or
+    #: ``"process"``); ``"serial"`` for a process request whose worker pool
+    #: could not recover (see ``degraded``) or for a bare
+    #: :func:`~repro.search.parallel.parallel_search` call
     backend: str = "serial"
     #: evaluations answered by the cross-worker shared reward table instead
     #: of calling ``reward_fn`` (states another worker already evaluated)
@@ -134,10 +138,11 @@ class SearchStats:
     #: reward-delta merge every ``sync_interval`` iterations)
     sync_rounds: int = 0
     #: worker warm-up cost: seconds from backend start until every worker
-    #: had evaluated the initial state.  On the process backend each worker
-    #: additionally rebuilds catalogue + executor and fills cold per-process
-    #: caches; serial / thread workers evaluate through the parent's shared
-    #: (usually already warm) caches, so their warm-up is much smaller
+    #: had evaluated the initial state.  On a cold process pool this adds
+    #: the pool's spawn and each worker's reward-context rebuild over cold
+    #: per-process caches (``0.0`` on a warm pool, which paid them earlier);
+    #: serial workers evaluate through the parent's shared (usually already
+    #: warm) caches, so their warm-up is much smaller
     warmup_seconds: float = 0.0
     #: snapshot of the shared reward table after the search
     reward_table: Optional[dict] = None
@@ -159,7 +164,8 @@ class SearchStats:
     #: recorded while tracing was enabled; the coordinator adopts them into
     #: its tracer so one exported trace covers every process of the run
     spans: Optional[list] = None
-    #: set when supervision degraded this search off its requested backend
-    #: (currently only ``"serial"``: the one-shot process backend failed and
-    #: the pipeline re-ran the search in-process); ``None`` on the happy path
+    #: set when supervision degraded this search off its requested backend:
+    #: ``"serial"`` when a one-shot process search's pool could not recover
+    #: and the pipeline re-ran the search in-process (the service adds
+    #: ``"fresh-pool"``); ``None`` on the happy path
     degraded: Optional[str] = None

@@ -6,20 +6,20 @@ coordinator gathers each worker's best state, broadcasts the overall best
 back, and terminates early when every worker reports that its local optimum
 has not changed in ``es`` iterations.
 
-*How* the workers execute is delegated to a pluggable backend
+*How* the workers execute is delegated to a backend
 (:mod:`repro.search.backends`): deterministic round-robin in this thread
-(``"serial"``, the default), one OS thread per worker (``"thread"``), or one
-OS process per worker (``"process"`` — true wall-clock parallelism, requires
-a picklable worker spec).  All backends run the same synchronization
-protocol, including the cross-worker shared reward table that stops ``p``
-workers from re-evaluating the overlapping states they all visit.
+(:class:`~repro.search.backends.serial.SerialBackend`, the default) or one OS
+process per worker (:class:`~repro.search.backends.process.ProcessBackend`,
+which the pipeline builds over a worker pool — closures cannot cross a
+process boundary).  Both run the same synchronization protocol, including
+the cross-worker shared reward table that stops ``p`` workers from
+re-evaluating the overlapping states they all visit.
 
 Every worker's reward evaluation executes SQL through a compiled-plan cache
-(:data:`repro.database.plancache.SHARED_PLAN_CACHE` for in-process backends;
-a per-process clone for process workers), so the thousands of reward queries
+(:data:`repro.database.plancache.SHARED_PLAN_CACHE` in this process; a
+per-process clone for process workers), so the thousands of reward queries
 a search run issues share compiled plan sets; pass the pipeline's
-``executor`` to the coordinator to surface the cache's hit statistics in
-:class:`SearchStats`.
+``executor`` to surface the cache's hit statistics in :class:`SearchStats`.
 """
 
 from __future__ import annotations
@@ -28,13 +28,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from ..difftree.tree import Difftree
 from ..transform.engine import TransformEngine
-from .backends import (
-    ParallelSearchResult,
-    ProcessWorkerSpec,
-    SearchJob,
-    get_backend,
-    resolve_backend_name,
-)
+from .backends import ParallelSearchResult, SearchBackend, SearchJob, SerialBackend
 from .config import SearchConfig
 from .mcts import RewardFn
 
@@ -42,61 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..database.executor import Executor
     from ..mapping.memo import MappingMemo
 
-__all__ = ["ParallelCoordinator", "ParallelSearchResult", "parallel_search"]
-
-
-class ParallelCoordinator:
-    """Coordinates ``p`` MCTS workers through a search-execution backend."""
-
-    def __init__(
-        self,
-        initial_trees: Sequence[Difftree],
-        engine: Optional[TransformEngine] = None,
-        reward_fn: Optional[RewardFn] = None,
-        config: Optional[SearchConfig] = None,
-        executor: Optional["Executor"] = None,
-        mapping_memo: Optional["MappingMemo"] = None,
-        engine_factory: Optional[Callable[[int], TransformEngine]] = None,
-        reward_factory: Optional[Callable[[int], RewardFn]] = None,
-        process_spec: Optional[ProcessWorkerSpec] = None,
-        backend: Optional[str] = None,
-        reward_table=None,
-        backend_instance=None,
-    ) -> None:
-        self.config = config or SearchConfig()
-        self.job = SearchJob(
-            initial_trees=list(initial_trees),
-            config=self.config,
-            engine=engine,
-            reward_fn=reward_fn,
-            engine_factory=engine_factory,
-            reward_factory=reward_factory,
-            executor=executor,
-            mapping_memo=mapping_memo,
-            process_spec=process_spec,
-            reward_table=reward_table,
-        )
-        if backend_instance is not None:
-            # a live backend (e.g. the generation service's warm worker
-            # pool) bypasses name resolution entirely
-            self.backend_name = backend_instance.name
-            self.backend = backend_instance
-        else:
-            self.backend_name = resolve_backend_name(
-                backend or self.config.backend,
-                has_process_spec=process_spec is not None,
-            )
-            self.backend = get_backend(self.backend_name)
-        #: the in-process worker instances, populated by serial / thread
-        #: backends after :meth:`run` (process workers live in their own
-        #: interpreters and only report serialized stats)
-        self.workers = []
-
-    def run(self) -> ParallelSearchResult:
-        """Run the synchronized parallel search until termination."""
-        result = self.backend.run(self.job)
-        self.workers = getattr(self.backend, "workers", [])
-        return result
+__all__ = ["ParallelSearchResult", "parallel_search"]
 
 
 def parallel_search(
@@ -108,23 +48,24 @@ def parallel_search(
     mapping_memo: Optional["MappingMemo"] = None,
     engine_factory: Optional[Callable[[int], TransformEngine]] = None,
     reward_factory: Optional[Callable[[int], RewardFn]] = None,
-    process_spec: Optional[ProcessWorkerSpec] = None,
-    backend: Optional[str] = None,
     reward_table=None,
-    backend_instance=None,
+    backend: Optional[SearchBackend] = None,
 ) -> ParallelSearchResult:
-    """Convenience wrapper around :class:`ParallelCoordinator`."""
-    return ParallelCoordinator(
-        initial_trees,
-        engine,
-        reward_fn,
-        config,
-        executor=executor,
-        mapping_memo=mapping_memo,
+    """Run the synchronized parallel search on ``backend`` (default serial).
+
+    ``config.backend`` is not consulted here: only the pipeline can build a
+    process backend (it needs the request's catalogue and queries), so a
+    search driven by closures runs serially.
+    """
+    job = SearchJob(
+        initial_trees=list(initial_trees),
+        config=config or SearchConfig(),
+        engine=engine,
+        reward_fn=reward_fn,
         engine_factory=engine_factory,
         reward_factory=reward_factory,
-        process_spec=process_spec,
-        backend=backend,
+        executor=executor,
+        mapping_memo=mapping_memo,
         reward_table=reward_table,
-        backend_instance=backend_instance,
-    ).run()
+    )
+    return (backend or SerialBackend()).run(job)

@@ -3,9 +3,9 @@
 Three layers turn the one-shot pipeline into a long-lived service that
 amortizes setup across repeated generation requests:
 
-* :mod:`repro.service.pool` — a reusable :class:`~repro.service.pool.WorkerPool`
-  keeping process-backend workers alive across searches (spawn + warm-up paid
-  once per pool, not per request);
+* :mod:`repro.service.pool` — the :class:`~repro.service.pool.WorkerPool`,
+  the one lifecycle of process-backend workers; the service keeps one alive
+  across searches (spawn + warm-up paid once per pool, not per request);
 * :mod:`repro.service.shm` — shared-memory catalogue segments workers attach
   instead of rebuilding from a pickled spec;
 * :mod:`repro.service.persist` — cross-run save/load of the reward table,
@@ -21,7 +21,7 @@ vocabulary and the deterministic fault-injection harness that tests it.
 
 from .fingerprint import catalog_fingerprint, config_fingerprint, workload_fingerprint
 from .persist import CACHE_VERSION, CacheBundle, CacheStore, persistence_key
-from .pool import PooledProcessBackend, ServiceWorkerSpec, WorkerPool
+from .pool import ServiceWorkerSpec, WorkerPool
 from .service import GenerationService, RequestStats
 from .shm import CatalogManifest, SharedCatalogRegistry, sweep_orphaned_segments
 
@@ -31,7 +31,6 @@ __all__ = [
     "CacheStore",
     "CatalogManifest",
     "GenerationService",
-    "PooledProcessBackend",
     "RequestStats",
     "ServiceWorkerSpec",
     "SharedCatalogRegistry",

@@ -1,19 +1,19 @@
-"""The reusable worker pool: process workers that outlive a single search.
+"""The worker pool: the one lifecycle of every process-backend worker.
 
-The one-shot process backend (:mod:`repro.search.backends.process`) spawns,
-warms and tears down its workers inside every ``run()`` — each generation
-request pays OS process start-up plus per-process catalogue rebuild and cache
-warm-up.  :class:`WorkerPool` restructures the lifecycle around the *pool*:
+A :class:`WorkerPool` spawns ``workers`` processes over one catalogue,
+supervises them, and serves searches as *tasks* over the round protocol of
+:mod:`repro.search.backends.process`.  The generation service keeps one pool
+alive across requests; a one-shot ``--backend process`` search opens a pool,
+runs its single task and closes it.  Both get the same supervision.
 
-* **spawn once** — workers are created when the pool is built, carrying only
-  a tiny :class:`ServiceWorkerSpec` (a shared-memory catalogue manifest, or
-  the pickled catalogue as fallback), and stay alive between searches;
-* **task messages instead of teardown** — the one-shot protocol's
-  ``round``/``sync``/``finish`` core is reused verbatim (the worker runs
-  :func:`repro.search.backends.process.serve_search`, the coordinator runs
-  :func:`~repro.search.backends.process.drive_search`), but ``finish``
-  returns the worker to an *idle* loop awaiting the next ``task`` instead of
-  exiting;
+* **spawn once per pool** — workers are created when the pool is built,
+  carrying only a tiny :class:`ServiceWorkerSpec` (a shared-memory catalogue
+  manifest, or the pickled catalogue when shared-memory registration
+  fails), and stay alive between tasks;
+* **task messages instead of teardown** — each search is a ``task``
+  handoff; the worker runs :func:`repro.search.backends.process.serve_search`
+  while the coordinator runs :func:`~repro.search.backends.process.drive_search`,
+  and ``finish`` returns the worker to an *idle* loop awaiting the next task;
 * **warm per-process caches** — the catalogue object, the process-wide plan
   cache and the mapping memo inside each worker persist across tasks, so a
   repeat generation's reward queries hit compiled plans and mapping
@@ -22,12 +22,12 @@ warm-up.  :class:`WorkerPool` restructures the lifecycle around the *pool*:
 Worker states: ``spawning → idle ⇄ serving → closed`` (``closed`` via the
 ``shutdown`` message or pool teardown).
 
-Supervision (PR 10): the pool never trusts a worker to stay alive.  Every
+Supervision: the pool never trusts a worker to stay alive.  Every
 coordinator receive multiplexes the pipe with the worker's process sentinel
 under the config's per-round deadline
 (:func:`repro.search.backends.process.supervised_recv`), so crashes and
 hangs surface as :class:`repro.faults.WorkerFailure` instead of wedging the
-service.  Recovery is *replace and replay*: dead or hung workers are
+caller.  Recovery is *replace and replay*: dead or hung workers are
 respawned **at the same worker index** — the replacement re-enters the same
 node-id space and RNG offset, re-attaches the shared-memory catalogue and
 rebuilds its request context from the same task bytes — live workers are
@@ -35,20 +35,23 @@ sent ``abort`` and drained back to idle, and the whole task is replayed
 (with the coordinator's current reward-table snapshot, which by reward
 purity changes cost, never trajectories).  Replays are bounded by
 ``task_retries`` with deterministic jittered backoff; a pool that cannot
-recover closes, and the generation service degrades to a fresh pool or the
-serial in-process backend (see :mod:`repro.service.service`).
+recover closes and re-raises, and the caller degrades — the generation
+service to a fresh pool or the serial backend (see
+:mod:`repro.service.service`), a one-shot search to the serial backend.
 
-Determinism: a pooled search constructs each task's
-:class:`~repro.search.mcts.MCTSWorker` exactly as the one-shot backend does
-— same per-worker RNG offsets, same node-id spaces, same reward-table seed —
-and rewards are pure functions of (seed, state), so a warm pooled request is
-byte-identical to a cold one-shot run (``tests/test_service.py`` sweeps
-this across every workload).
+Determinism: each task constructs its
+:class:`~repro.search.mcts.MCTSWorker` with the serial backend's per-worker
+RNG offsets and node-id spaces and the coordinator's reward-table seed, and
+rewards are pure functions of (seed, state), so a warm pooled request is
+byte-identical to a one-shot and a serial run (``tests/test_service.py``
+sweeps this across every workload).
 """
 
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
+import os
 import pickle
 import time
 from collections import OrderedDict
@@ -61,39 +64,55 @@ from ..database.catalog import Catalog
 from ..difftree.nodes import worker_id_counter
 from ..faults import DeadlineExceeded, WorkerFailure, backoff_delays
 from ..obs import MetricsRegistry, span, worker_metrics_snapshot
-from ..search.backends.base import (
-    ParallelSearchResult,
-    RewardTable,
-    SearchJob,
-    dump_state,
-    load_state,
-)
+from ..search.backends.base import RewardTable, load_state
 from ..search.backends.process import (
-    _mp_context,
     check_reply,
     drive_search,
-    finalize_search,
     serve_search,
     supervised_recv,
 )
 from ..search.mcts import MCTSWorker
-from ..search.state import SearchState
 from ..transform.engine import TransformEngine
 from .shm import CatalogManifest, SharedCatalogRegistry, _unlink_segment
 
-__all__ = ["PooledProcessBackend", "ServiceWorkerSpec", "WorkerPool"]
+__all__ = ["ServiceWorkerSpec", "WorkerPool"]
+
+#: Environment override for the multiprocessing start method.
+MP_START_ENV_VAR = "REPRO_MP_START"
+
+
+def _mp_context():
+    """The multiprocessing start method: fork where available (fast, no
+    re-import), spawn otherwise; ``REPRO_MP_START`` overrides.
+
+    The override is validated against the platform's supported methods so a
+    typo (``REPRO_MP_START=frok``) fails with an actionable error instead of
+    leaking an arbitrary string into ``multiprocessing.get_context``.
+    """
+    method = os.environ.get(MP_START_ENV_VAR)
+    if method:
+        method = method.strip().lower()
+        allowed = multiprocessing.get_all_start_methods()
+        if method not in allowed:
+            raise ValueError(
+                f"invalid {MP_START_ENV_VAR}={method!r}: allowed start "
+                f"methods on this platform are {', '.join(sorted(allowed))}"
+            )
+        return multiprocessing.get_context(method)
+    if "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context("spawn")
 
 
 @dataclass
 class ServiceWorkerSpec:
     """Picklable recipe for a pool worker's *persistent* context.
 
-    Unlike :class:`repro.core.pipeline.PipelineWorkerSpec` — which carries
-    one request's catalogue, queries and config — this spec carries only
-    what outlives requests: the catalogue, preferably as a shared-memory
-    manifest so each worker attaches the one segment the pool owns instead
-    of unpickling a private copy.  Per-request context (queries, configs,
-    initial state, reward-table seed) arrives later in ``task`` messages.
+    It carries only what outlives tasks: the catalogue, preferably as a
+    shared-memory manifest so each worker attaches the one segment the pool
+    owns instead of unpickling a private copy.  Per-request context
+    (queries, configs, initial state, reward-table seed) arrives later in
+    ``task`` messages.
     """
 
     #: shared-memory manifest of the catalogue (preferred transport)
@@ -148,7 +167,7 @@ def _pooled_worker_main(conn, spec_bytes: bytes, worker_index: int) -> None:
         # cache and memo they describe), so a snapshot is cumulative — a warm
         # task's setup_cache_hits counts every task this worker has served
         registry = MetricsRegistry()
-        conn.send(("ready", 0.0))
+        conn.send(("ready",))
         while True:
             # idle loop: the pool owner's death surfaces as EOFError below
             message = conn.recv()  # repro: allow-unbounded-recv -- EOFError on pool-owner death is the liveness signal
@@ -190,7 +209,7 @@ def _pooled_worker_main(conn, spec_bytes: bytes, worker_index: int) -> None:
                     setups.move_to_end(context_key)
                     setup, pipeline_config, engine = cached
                 reward_fn = make_reward_fn(setup, pipeline_config, worker_index)
-                table = RewardTable() if task["shared_rewards"] else None
+                table = RewardTable() if search_config.shared_rewards else None
                 if table is not None and task["table_seed"]:
                     table.seed(task["table_seed"])
                 worker = MCTSWorker(
@@ -203,10 +222,8 @@ def _pooled_worker_main(conn, spec_bytes: bytes, worker_index: int) -> None:
                     id_space=worker_id_counter(worker_index),
                 )
                 warmup_seconds = time.perf_counter() - warmup_start
-                # third element: this worker's pool-lifetime metric snapshot,
-                # merged by the coordinator at the task-ready barrier (the
-                # one-shot protocol's consumers index [1], so the extra
-                # element is backward-compatible)
+                # with this worker's pool-lifetime metric snapshot, merged by
+                # the coordinator at the task-ready barrier
                 conn.send(("task-ready", warmup_seconds, registry.snapshot()))
 
                 def cache_info(setup=setup):
@@ -256,19 +273,17 @@ def _pooled_worker_main(conn, spec_bytes: bytes, worker_index: int) -> None:
 class WorkerPool:
     """``workers`` live processes over one catalogue, reused across searches.
 
-    The pool owns the catalogue's shared-memory segment (when ``use_shm``)
-    and the worker processes; close it (context manager, :meth:`close`) to
-    release both.  ``spawn_seconds`` records the one-time cost a pooled
-    request amortizes away.
+    The pool owns the catalogue's shared-memory segment (when registration
+    succeeded) and the worker processes; close it (context manager,
+    :meth:`close`) to release both.  ``spawn_seconds`` records the one-time
+    cost a warm request amortizes away.
     """
 
     #: supervision deadline on worker spawn (catalogue attach + ready reply);
     #: generous — it only has to catch a truly wedged child, not pace it
     SPAWN_DEADLINE_SECONDS = 300.0
 
-    def __init__(
-        self, catalog: Catalog, workers: int, use_shm: bool = True
-    ) -> None:
+    def __init__(self, catalog: Catalog, workers: int) -> None:
         self.catalog = catalog
         self.workers = max(1, workers)
         self.tasks_served = 0
@@ -286,20 +301,19 @@ class WorkerPool:
 
         spawn_start = time.perf_counter()
         spec = ServiceWorkerSpec()
-        if use_shm:
-            try:
-                self._registry = SharedCatalogRegistry()
-                spec.manifest = self._registry.register(catalog)
-                if self._registry.reclaimed_segments:
-                    self.supervisor.counter("shm.reclaimed_segments").inc(
-                        self._registry.reclaimed_segments
-                    )
-            except Exception:
-                # no shared memory on this platform: fall back to pickling
-                if self._registry is not None:
-                    self._registry.close()
-                    self._registry = None
-                spec.manifest = None
+        try:
+            self._registry = SharedCatalogRegistry()
+            spec.manifest = self._registry.register(catalog)
+            if self._registry.reclaimed_segments:
+                self.supervisor.counter("shm.reclaimed_segments").inc(
+                    self._registry.reclaimed_segments
+                )
+        except Exception:
+            # no shared memory on this platform: fall back to pickling
+            if self._registry is not None:
+                self._registry.close()
+                self._registry = None
+            spec.manifest = None
         if spec.manifest is not None and faults.fire("unlink-shm-segment"):
             # simulate a crashed owner's vanished segment: workers will fail
             # to attach, and pool construction must fail loudly (the service
@@ -407,13 +421,14 @@ class WorkerPool:
         search_config,
         coordinator_table: Optional[RewardTable],
         request_deadline_at: Optional[float] = None,
-    ) -> tuple[list, list, int, int, bool]:
+    ) -> tuple[list, int, int, bool]:
         """Run one search over the live workers, surviving worker failures.
 
         ``task`` is pickled and broadcast; ``coordinator_table`` stays local
         (it holds a lock) and is driven through the round protocol.  Returns
-        ``(finals, task_warmups, total_iterations, sync_rounds,
-        early_stopped)``; the workers return to idle afterwards.
+        :func:`~repro.search.backends.process.drive_search`'s ``(finals,
+        total_iterations, sync_rounds, early_stopped)``; the workers return
+        to idle afterwards.
 
         On :class:`WorkerFailure` the pool recovers (respawn the dead,
         abort + drain the living) and replays the task from its initial
@@ -423,7 +438,7 @@ class WorkerPool:
         snapshot, a replayed task produces byte-identical output to an
         undisturbed run, just later.  An exhausted retry budget or an
         expired request deadline closes the pool and re-raises for the
-        service's degradation ladder.
+        caller to degrade.
         """
         if self.closed:
             raise RuntimeError("worker pool is closed")
@@ -488,7 +503,7 @@ class WorkerPool:
         search_config,
         coordinator_table: Optional[RewardTable],
         request_deadline_at: Optional[float],
-    ) -> tuple[list, list, int, int, bool]:
+    ) -> tuple[list, int, int, bool]:
         task_bytes = pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL)
         round_deadline = getattr(search_config, "round_deadline_seconds", None)
         for index, conn in enumerate(self._connections):
@@ -511,25 +526,23 @@ class WorkerPool:
                 worker=index,
             )
             replies.append(check_reply(reply, "task-ready", worker=index))
-        warmups = [reply[1] for reply in replies]
         # merge the per-worker pool-lifetime snapshots deterministically
         # (worker order); snapshots are cumulative, so the merged registry
         # is rebuilt from the latest snapshot of every worker rather than
         # accumulated across tasks
         merged = MetricsRegistry()
         for reply in replies:
-            if len(reply) > 2 and reply[2]:
-                merged.merge(reply[2])
+            merged.merge(reply[2])
         self.metrics = merged
-        finals, total_iterations, sync_rounds, early_stopped = drive_search(
+        outcome = drive_search(
             self._connections,
             search_config,
             coordinator_table,
-            processes=self._processes,
+            self._processes,
             request_deadline_at=request_deadline_at,
         )
         self.tasks_served += 1
-        return finals, warmups, total_iterations, sync_rounds, early_stopped
+        return outcome
 
     @property
     def warm(self) -> bool:
@@ -572,86 +585,3 @@ class WorkerPool:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-class PooledProcessBackend:
-    """A search backend view over a live :class:`WorkerPool`.
-
-    Implements the same interface as the registered backends so
-    :class:`repro.search.parallel.ParallelCoordinator` can run on it via
-    ``backend_instance``.  The per-request pieces of the task (queries,
-    configs) are bound by the generation service before each search via
-    :meth:`bind_request`.
-    """
-
-    name = "pooled-process"
-
-    def __init__(self, pool: WorkerPool) -> None:
-        self.pool = pool
-        self._context_bytes: Optional[bytes] = None
-
-    def bind_request(self, asts: list, pipeline_config) -> None:
-        """Attach the current request's queries + config for the next run.
-
-        The pair is pickled here, once, and shipped as one opaque context
-        blob: workers key their per-process reward-setup cache by its
-        SHA-256, so byte-identical repeat requests skip the rebuild.
-        """
-        self._context_bytes = pickle.dumps(
-            (list(asts), pipeline_config), protocol=pickle.HIGHEST_PROTOCOL
-        )
-
-    def run(self, job: SearchJob) -> ParallelSearchResult:
-        if self._context_bytes is None:
-            raise RuntimeError(
-                "PooledProcessBackend.run called without bind_request"
-            )
-        config = job.config
-        start = time.perf_counter()
-        was_warm = self.pool.warm
-
-        table: Optional[RewardTable] = None
-        if config.shared_rewards:
-            table = job.reward_table if job.reward_table is not None else RewardTable()
-        table_seed = table.snapshot() if table is not None else {}
-
-        task = {
-            "context": self._context_bytes,
-            "search_config": config,
-            "shared_rewards": config.shared_rewards,
-            "initial_state": dump_state(SearchState(job.initial_trees)),
-            "table_seed": table_seed,
-            "faults": faults.current_spec(),
-        }
-        request_deadline = getattr(config, "request_deadline_seconds", None)
-        request_deadline_at = (
-            time.monotonic() + request_deadline if request_deadline else None
-        )
-        finals, warmups, total_iterations, sync_rounds, early_stopped = (
-            self.pool.run_task(
-                task, config, table, request_deadline_at=request_deadline_at
-            )
-        )
-
-        # warm requests pay no spawn / warm-up by construction: those costs
-        # were paid when the pool was built (cold requests surface them so
-        # the amortization is visible in the stats)
-        warmup_wall = 0.0 if was_warm else self.pool.spawn_seconds + max(
-            warmups, default=0.0
-        )
-        reported_warmups = [0.0] * len(warmups) if was_warm else warmups
-        result = finalize_search(
-            self.name,
-            job,
-            finals,
-            reported_warmups,
-            table,
-            total_iterations,
-            sync_rounds,
-            early_stopped,
-            start,
-            warmup_wall,
-        )
-        result.stats.pool = "warm" if was_warm else "cold"
-        result.stats.reward_table_loaded = len(table_seed)
-        return result

@@ -52,11 +52,14 @@ from ..database.datasets import standard_catalog
 from ..difftree.builder import parse_queries
 from ..faults import DeadlineExceeded, GenerationFailure, WorkerFailure
 from ..obs import GLOBAL_METRICS, MetricsRegistry, publish_request_stats, span
-from ..search.backends import resolve_backend_name
-from ..search.backends.base import RewardTable
-from ..search.backends.serial import SerialBackend
+from ..search.backends import (
+    ProcessBackend,
+    RewardTable,
+    SerialBackend,
+    resolve_backend_name,
+)
 from .persist import persistence_key
-from .pool import PooledProcessBackend, WorkerPool
+from .pool import WorkerPool
 
 __all__ = ["GenerationService", "RequestStats"]
 
@@ -117,8 +120,6 @@ class GenerationService:
             overrides go through :meth:`generate`'s ``config``).
         cache_dir: when set, every request persists / reloads its caches
             under this directory (see :mod:`repro.service.persist`).
-        use_shm: place the catalogue in shared memory for pool workers
-            (falls back to pickling when unavailable).
     """
 
     def __init__(
@@ -126,17 +127,14 @@ class GenerationService:
         catalog: Optional[Catalog] = None,
         config: Optional[PipelineConfig] = None,
         cache_dir: Optional[str] = None,
-        use_shm: bool = True,
     ) -> None:
         self.config = config or PipelineConfig()
         self.catalog = catalog or standard_catalog(
             seed=self.config.seed, scale=self.config.catalog_scale
         )
         self.cache_dir = cache_dir
-        self.use_shm = use_shm
         self.requests: list[RequestStats] = []
         self._pool: Optional[WorkerPool] = None
-        self._pool_backend: Optional[PooledProcessBackend] = None
         #: persistence key -> cross-request reward table
         self._tables: dict[str, RewardTable] = {}
         self._keys_served: set[str] = set()
@@ -144,21 +142,15 @@ class GenerationService:
 
     # -- pool management -----------------------------------------------------
 
-    def _pooled_backend_for(self, config: PipelineConfig) -> Optional[PooledProcessBackend]:
-        """The live pool backend when the request resolves to ``process``."""
-        resolved = resolve_backend_name(config.search.backend, has_process_spec=True)
-        if resolved != "process":
-            return None
+    def _live_pool(self, config: PipelineConfig) -> WorkerPool:
+        """The service's pool, built by the first process request."""
         if self._pool is None:
-            self._pool = WorkerPool(
-                self.catalog, config.search.workers, use_shm=self.use_shm
-            )
-            self._pool_backend = PooledProcessBackend(self._pool)
-        return self._pool_backend
+            self._pool = WorkerPool(self.catalog, config.search.workers)
+        return self._pool
 
     def _reset_pool(self) -> None:
         """Release the current pool so the next rung builds a fresh one."""
-        pool, self._pool, self._pool_backend = self._pool, None, None
+        pool, self._pool = self._pool, None
         if pool is not None:
             pool.close()
 
@@ -190,10 +182,7 @@ class GenerationService:
             self._tables[key] = table
         loaded_before = table.size()
 
-        process_resolved = (
-            resolve_backend_name(config.search.backend, has_process_spec=True)
-            == "process"
-        )
+        process_resolved = resolve_backend_name(config.search.backend) == "process"
         request_deadline = getattr(
             config.search, "request_deadline_seconds", None
         )
@@ -226,17 +215,14 @@ class GenerationService:
             base_retries = base_replaced = 0
             try:
                 if rung in ("pool", "fresh-pool"):
-                    backend = self._pooled_backend_for(config)
-                    backend.bind_request(asts, config)
-                    pool_state = "warm" if backend.pool.warm else "cold"
-                    base_retries = int(
-                        backend.pool.supervisor.value("pool.task_retries", 0)
-                    )
+                    pool = self._live_pool(config)
+                    pool_state = "warm" if pool.warm else "cold"
+                    base_retries = int(pool.supervisor.value("pool.task_retries", 0))
                     base_replaced = int(
-                        backend.pool.supervisor.value("pool.workers_replaced", 0)
+                        pool.supervisor.value("pool.workers_replaced", 0)
                     )
                     runtime = GenerationRuntime(
-                        backend_instance=backend,
+                        backend=ProcessBackend(pool, asts, config),
                         reward_table=table,
                         pool=pool_state,
                     )
@@ -244,7 +230,7 @@ class GenerationService:
                     # bypasses both the name resolution and the
                     # REPRO_SEARCH_BACKEND override: no worker processes
                     runtime = GenerationRuntime(
-                        backend_instance=SerialBackend(),
+                        backend=SerialBackend(),
                         reward_table=table,
                         pool=pool_state,
                     )
@@ -254,9 +240,7 @@ class GenerationService:
                         if loaded_before or key in self._keys_served
                         else "cold"
                     )
-                    runtime = GenerationRuntime(
-                        backend_instance=None, reward_table=table, pool=pool_state
-                    )
+                    runtime = GenerationRuntime(reward_table=table, pool=pool_state)
                 with span(
                     "service.request", pool=pool_state, rung=rung, key=key[:16]
                 ):
@@ -334,10 +318,7 @@ class GenerationService:
         if self.closed:
             return
         self.closed = True
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-            self._pool_backend = None
+        self._reset_pool()
 
     def __enter__(self) -> "GenerationService":
         return self

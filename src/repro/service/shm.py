@@ -1,11 +1,11 @@
 """Shared-memory catalogue registry.
 
-The one-shot process backend ships the whole catalogue to every worker by
-pickling it into the spawn payload — each worker pays unpickle cost and holds
-a private copy.  A long-lived pool does better: the registry encodes every
-column of every table into **one** ``multiprocessing.shared_memory`` segment
-per catalogue, described by a picklable :class:`CatalogManifest` (per-column
-dtype kind, offsets, lengths, null indexes).  Workers receive only the tiny
+Pickling the whole catalogue into every worker's spawn payload would make
+each worker pay unpickle cost and hold a private copy.  A worker pool does
+better: the registry encodes every column of every table into **one**
+``multiprocessing.shared_memory`` segment per catalogue, described by a
+picklable :class:`CatalogManifest` (per-column dtype kind, offsets,
+lengths, null indexes).  Workers receive only the tiny
 manifest, attach the segment, and decode columns straight out of shared
 memory — the segment is mapped, never copied or re-pickled, and one segment
 serves every worker of the pool.

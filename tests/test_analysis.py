@@ -929,7 +929,7 @@ def test_repo_is_clean_under_all_checkers(capsys):
 
 def test_real_cross_reference_targets_still_resolve():
     """The cache-key and pickle-safety passes must keep finding their real
-    anchors — if Executor/plan_key/PipelineWorkerSpec are renamed, the
+    anchors — if Executor/plan_key/ServiceWorkerSpec are renamed, the
     checkers silently checking nothing would be worse than failing."""
     project, errors = build_project([str(REPO_ROOT / "src")])
     assert errors == []
@@ -959,4 +959,4 @@ def test_real_cross_reference_targets_still_resolve():
     from repro.analysis.checkers.pickle_safety import _ClassIndex
 
     index = _ClassIndex(project)
-    assert "PipelineWorkerSpec" in index.classes
+    assert "ServiceWorkerSpec" in index.classes

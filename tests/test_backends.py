@@ -1,9 +1,9 @@
 """The search-execution backend subsystem.
 
-The load-bearing guarantee: every backend runs the same synchronization
+The load-bearing guarantee: both backends run the same synchronization
 protocol over workers that share no mutable search state during a round, so
-serial, thread and process backends produce byte-identical interfaces from
-the same configuration — the process backend merely pays (and reports) a
+the serial and process backends produce byte-identical interfaces from the
+same configuration — the process backend merely pays (and reports) a
 per-process cache warm-up and runs its workers on real OS processes.
 """
 
@@ -13,15 +13,14 @@ import os
 import pytest
 
 from repro.core.config import PipelineConfig
-from repro.core.pipeline import PipelineWorkerSpec, generate_for_workload
+from repro.core.pipeline import generate_for_workload
 from repro.database import standard_catalog
 from repro.difftree import initial_difftrees
 from repro.search import (
-    ParallelCoordinator,
     RewardTable,
     SearchConfig,
     SearchState,
-    get_backend,
+    SerialBackend,
     parallel_search,
 )
 from repro.search.backends import BACKEND_ENV_VAR, dump_state, load_state, resolve_backend_name
@@ -60,24 +59,6 @@ def simple_reward(state: SearchState) -> float:
 
 
 # -- backend equivalence -------------------------------------------------------
-
-
-@pytest.mark.parametrize("workload", sorted(WORKLOADS))
-def test_serial_and_thread_backends_byte_identical(workload):
-    """Serial and thread backends agree bit-for-bit on every workload."""
-    signatures = {}
-    for backend in ("serial", "thread"):
-        catalog = standard_catalog(seed=11, scale=0.12)
-        result = generate_for_workload(
-            WORKLOADS[workload], catalog=catalog, config=_backend_config(backend)
-        )
-        assert result.search_stats.backend == backend
-        signatures[backend] = (
-            _interface_signature(result),
-            result.best_reward,
-            result.state.fingerprint(),
-        )
-    assert signatures["serial"] == signatures["thread"]
 
 
 def test_process_backend_matches_serial_without_shared_rewards():
@@ -164,16 +145,13 @@ def test_process_backend_reports_warmup_and_sync_rounds():
 
 
 def test_resolve_backend_name_env_override(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV_VAR, "thread")
-    assert resolve_backend_name("serial", has_process_spec=False) == "thread"
+    monkeypatch.setenv(BACKEND_ENV_VAR, "process")
+    assert resolve_backend_name("serial") == "process"
     monkeypatch.delenv(BACKEND_ENV_VAR)
-    assert resolve_backend_name("thread", has_process_spec=False) == "thread"
-    assert resolve_backend_name(None, has_process_spec=False) == "serial"
-    # a process request without a picklable spec falls back to serial
-    assert resolve_backend_name("process", has_process_spec=False) == "serial"
-    assert resolve_backend_name("process", has_process_spec=True) == "process"
+    assert resolve_backend_name("process") == "process"
+    assert resolve_backend_name(None) == "serial"
     with pytest.raises(ValueError):
-        resolve_backend_name("quantum", has_process_spec=False)
+        resolve_backend_name("quantum")
 
 
 def test_process_backend_without_spec_falls_back_to_serial(catalog, executor):
@@ -190,15 +168,14 @@ def test_process_backend_without_spec_falls_back_to_serial(catalog, executor):
 def test_coordinator_exposes_workers_for_local_backends(catalog, executor):
     engine = TransformEngine(catalog, executor, max_applications=16)
     config = SearchConfig(
-        max_iterations=8, early_stop=8, workers=2, sync_interval=4, seed=3,
-        backend="thread",
+        max_iterations=8, early_stop=8, workers=2, sync_interval=4, seed=3
     )
-    coordinator = ParallelCoordinator(
-        initial_difftrees(QUERIES), engine, simple_reward, config
+    backend = SerialBackend()
+    result = parallel_search(
+        initial_difftrees(QUERIES), engine, simple_reward, config, backend=backend
     )
-    result = coordinator.run()
-    assert len(coordinator.workers) == 2
-    assert max(w.best_reward for w in coordinator.workers) == result.best_reward
+    assert len(backend.workers) == 2
+    assert max(w.best_reward for w in backend.workers) == result.best_reward
 
 
 def test_reward_table_merge_first_writer_wins():
@@ -227,28 +204,11 @@ def test_state_serialization_round_trip():
     ]
 
 
-def test_pipeline_worker_spec_round_trip():
-    import pickle
-
-    from repro.difftree.builder import parse_queries
-
-    catalog = standard_catalog(seed=11, scale=0.12)
-    config = _backend_config("process")
-    spec = PipelineWorkerSpec(
-        catalog=catalog,
-        query_asts=parse_queries(list(WORKLOADS["explore"].queries)),
-        config=config,
-    )
-    clone = pickle.loads(pickle.dumps(spec))
-    assert clone.setup is None  # the built context never crosses the wire
-    engine, reward_fn = clone.build(0, config.search)
-    trees = initial_difftrees(list(WORKLOADS["explore"].queries))
-    reward = reward_fn(SearchState(trees))
-    assert reward != float("inf")
-    plan_info, memo_info = clone.cache_info()
-    assert plan_info is not None
-
-
-def test_get_backend_rejects_unknown_names():
-    with pytest.raises(ValueError):
-        get_backend("carrier-pigeon")
+def test_resolve_backend_name_rejects_unknown_and_removed_names(monkeypatch):
+    for name in ("carrier-pigeon", "thread"):
+        with pytest.raises(ValueError):
+            resolve_backend_name(name)
+        monkeypatch.setenv(BACKEND_ENV_VAR, name)
+        with pytest.raises(ValueError):
+            resolve_backend_name("serial")
+        monkeypatch.delenv(BACKEND_ENV_VAR)

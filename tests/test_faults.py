@@ -1,18 +1,25 @@
-"""Fault injection and supervision: the service survives, bytes unchanged.
+"""Fault injection and supervision: every process search survives, bytes unchanged.
 
-Every test drives the *real* service stack — pool, process protocol, shared
-memory, persistence — under a deterministic fault plan (:mod:`repro.faults`)
-and asserts two things:
+Every test drives the *real* stack — pool, process protocol, shared memory,
+persistence — under a deterministic fault plan (:mod:`repro.faults`) and
+asserts two things:
 
 1. **recovery**: the request completes despite killed / hung workers,
    dropped or duplicated sync messages, corrupted cache bundles and
-   vanished shared-memory segments, and :class:`repro.service.RequestStats`
-   reports what happened (retries, replaced workers, degradation rung);
+   vanished shared-memory segments, and the run reports what happened
+   (retries, replaced workers, degradation rung — through
+   :class:`repro.service.RequestStats` for service requests and the run's
+   ``pool.*`` metrics plus ``SearchStats.degraded`` for one-shot runs);
 2. **byte identity**: the interface produced under faults is exactly the
    one a fault-free run produces — rewards are pure functions of
    (seed, state), so supervision (worker replacement, task replay, the
    degradation ladder down to the serial backend) can change cost, never
    trajectories.
+
+The recovery matrix runs each fault in three modes: a fresh service
+(``cold``), a service whose pool already served another log (``warm``), and
+a one-shot :func:`~repro.core.pipeline.generate_interface` on the process
+backend, whose pool lives for that one search (``oneshot``).
 
 Faults that must fire exactly once across every process and retry carry a
 ``once=<token file>`` clause; without it a respawned worker replaying the
@@ -23,6 +30,7 @@ from __future__ import annotations
 
 import json
 import os
+from types import SimpleNamespace
 
 import pytest
 
@@ -39,6 +47,14 @@ QUERIES = [
     "SELECT p, count(*) FROM T WHERE a = 1 GROUP BY p",
     "SELECT p, count(*) FROM T WHERE a = 2 GROUP BY p",
 ]
+#: another log: warming a pool with it leaves the faulted request's reward
+#: table empty, so a warm pool still reaches every fault site (reward
+#: evaluation included)
+WARMUP_QUERIES = [
+    "SELECT p, count(*) FROM T WHERE a = 3 GROUP BY p",
+    "SELECT p, count(*) FROM T WHERE a = 4 GROUP BY p",
+]
+MODES = ["cold", "warm", "oneshot"]
 
 
 @pytest.fixture(autouse=True)
@@ -88,14 +104,32 @@ def baseline_signature():
     return _signature(result)
 
 
-def _pooled_run(fault_spec, *, warm: bool, config=None, catalog=None):
-    """One pooled request under ``fault_spec``; optionally warm the pool
-    with a clean request first (the per-task spec reaches live workers)."""
+def _run(mode: str, fault_spec, config=None):
+    """One request under ``fault_spec`` in ``mode`` (see the module doc).
+
+    Returns ``(result, stats)``: ``stats`` is the service's
+    :class:`~repro.service.RequestStats`, or for a one-shot run the same
+    fields read from the result.
+    """
     config = config or _config()
-    catalog = catalog if catalog is not None else _catalog()
-    with GenerationService(catalog=catalog, config=config) as service:
-        if warm:
-            service.generate(QUERIES)
+    if mode == "oneshot":
+        if fault_spec is not None:
+            faults.install(fault_spec)
+        try:
+            result = generate_interface(QUERIES, catalog=_catalog(), config=config)
+        finally:
+            faults.reset()
+        stats = result.search_stats
+        return result, SimpleNamespace(
+            backend=stats.backend,
+            degraded=stats.degraded,
+            pool=stats.pool,
+            retries=result.metrics.get("pool.task_retries", 0),
+            workers_replaced=result.metrics.get("pool.workers_replaced", 0),
+        )
+    with GenerationService(catalog=_catalog(), config=config) as service:
+        if mode == "warm":
+            service.generate(WARMUP_QUERIES)
         if fault_spec is not None:
             faults.install(fault_spec)
         try:
@@ -108,86 +142,92 @@ def _pooled_run(fault_spec, *, warm: bool, config=None, catalog=None):
 # -- the fault matrix: recovery + byte identity --------------------------------
 
 
-@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("mode", MODES)
 def test_killed_worker_is_replaced_and_task_replayed(
-    tmp_path, warm, baseline_signature
+    tmp_path, mode, baseline_signature
 ):
     token = tmp_path / "kill.tok"
-    result, stats = _pooled_run(
-        f"kill-worker-before-sync:worker=1:once={token}", warm=warm
-    )
+    result, stats = _run(mode, f"kill-worker-before-sync:worker=1:once={token}")
     assert _signature(result) == baseline_signature
     assert stats.workers_replaced >= 1
     assert stats.retries >= 1
     assert stats.degraded is None  # the pool itself recovered
-    assert stats.pool == ("warm" if warm else "cold")
+    assert stats.backend == "process"
+    assert stats.pool == {"cold": "cold", "warm": "warm", "oneshot": None}[mode]
     assert token.exists()  # the fault really fired
 
 
+@pytest.mark.parametrize("mode", MODES)
 def test_hung_worker_trips_round_deadline_and_is_replaced(
-    tmp_path, baseline_signature
+    tmp_path, mode, baseline_signature
 ):
     token = tmp_path / "hang.tok"
     config = _config(round_deadline_seconds=2.0)
-    result, stats = _pooled_run(
-        f"hang-in-reward-eval:worker=1:seconds=30:once={token}",
-        warm=False,
-        config=config,
+    result, stats = _run(
+        mode, f"hang-in-reward-eval:worker=1:seconds=30:once={token}", config
     )
     assert _signature(result) == baseline_signature
     # the sleeper is alive but silent: hang detection must replace it
     assert stats.workers_replaced >= 1
     assert stats.retries >= 1
+    assert stats.degraded is None
+    assert stats.backend == "process"
+    assert token.exists()
 
 
-@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("mode", MODES)
 def test_dropped_sync_message_is_retried_without_replacement(
-    tmp_path, warm, baseline_signature
+    tmp_path, mode, baseline_signature
 ):
     token = tmp_path / "drop.tok"
     config = _config(round_deadline_seconds=2.0)
-    result, stats = _pooled_run(
-        f"drop-sync-message:worker=0:once={token}", warm=warm, config=config
-    )
+    result, stats = _run(mode, f"drop-sync-message:worker=0:once={token}", config)
     assert _signature(result) == baseline_signature
     assert stats.retries >= 1
     # the worker is healthy (it only lost one message): abort + drain must
     # reclaim it without respawning
     assert stats.workers_replaced == 0
+    assert stats.degraded is None
+    assert stats.backend == "process"
+    assert token.exists()
 
 
+@pytest.mark.parametrize("mode", MODES)
 def test_duplicated_sync_message_is_discarded_by_sequence_number(
-    baseline_signature,
+    tmp_path, mode, baseline_signature
 ):
-    result, stats = _pooled_run("duplicate-sync-message:worker=0", warm=False)
+    token = tmp_path / "dup.tok"
+    result, stats = _run(mode, f"duplicate-sync-message:worker=0:once={token}")
     assert _signature(result) == baseline_signature
     # duplicates are dropped by seq comparison: no failure, no recovery
     assert stats.retries == 0
     assert stats.workers_replaced == 0
     assert stats.degraded is None
+    assert stats.backend == "process"
+    assert token.exists()
 
 
-def test_unlinked_shm_segment_degrades_to_fresh_pool(baseline_signature):
-    result, stats = _pooled_run("unlink-shm-segment", warm=False)
-    assert _signature(result) == baseline_signature
-    assert stats.degraded == "fresh-pool"
-
-
-def test_unrecoverable_pool_walks_ladder_down_to_serial(baseline_signature):
+@pytest.mark.parametrize("mode", MODES)
+def test_unrecoverable_pool_walks_ladder_down_to_serial(mode, baseline_signature):
     # every worker dies on every attempt and the retry budget is zero: the
-    # warm rung fails, the fresh pool fails, the serial rung must answer
+    # service's pool rungs fail (a one-shot run has only its one pool) and
+    # the serial backend must answer
     config = _config(task_retries=0)
-    result, stats = _pooled_run(
-        "kill-worker-before-sync:count=9999", warm=False, config=config
-    )
+    result, stats = _run(mode, "kill-worker-before-sync:count=9999", config)
     assert _signature(result) == baseline_signature
     assert stats.degraded == "serial"
     assert stats.backend == "serial"
 
 
+def test_unlinked_shm_segment_degrades_to_fresh_pool(baseline_signature):
+    result, stats = _run("cold", "unlink-shm-segment")
+    assert _signature(result) == baseline_signature
+    assert stats.degraded == "fresh-pool"
+
+
 def test_expired_request_deadline_skips_to_serial(baseline_signature):
     config = _config(request_deadline_seconds=1e-6)
-    result, stats = _pooled_run(None, warm=False, config=config)
+    result, stats = _run("cold", None, config)
     assert _signature(result) == baseline_signature
     assert stats.deadline_exceeded
     assert stats.degraded == "serial"

@@ -1,4 +1,4 @@
-"""Tests for the single-player MCTS search and the parallel coordinator."""
+"""Tests for the single-player MCTS search and parallel_search."""
 
 import random
 
@@ -6,9 +6,9 @@ from repro.difftree import initial_difftrees
 from repro.search import (
     MCTSNode,
     MCTSWorker,
-    ParallelCoordinator,
     SearchConfig,
     SearchState,
+    SerialBackend,
     parallel_search,
     search_difftrees,
 )
@@ -126,11 +126,11 @@ def test_parallel_search_synchronises_best_state(catalog, executor):
     assert len(result.worker_stats) == 3
     assert result.stats.iterations > 0
     # after synchronisation every worker has adopted a reward at least as good
-    coordinator = ParallelCoordinator(
-        initial_difftrees(QUERIES), engine, simple_reward, config
+    backend = SerialBackend()
+    res = parallel_search(
+        initial_difftrees(QUERIES), engine, simple_reward, config, backend=backend
     )
-    res = coordinator.run()
-    rewards = [w.best_reward for w in coordinator.workers]
+    rewards = [w.best_reward for w in backend.workers]
     assert max(rewards) == res.best_reward
 
 
@@ -188,10 +188,7 @@ def test_parallel_search_honours_remainder_iterations(catalog, executor):
         rollout_depth=4,
         seed=9,
     )
-    coordinator = ParallelCoordinator(
-        initial_difftrees(QUERIES), engine, simple_reward, config
-    )
-    result = coordinator.run()
+    result = parallel_search(initial_difftrees(QUERIES), engine, simple_reward, config)
     assert result.stats.iterations == 13
     assert result.stats.per_worker_iterations == [13]
 
@@ -206,9 +203,7 @@ def test_parallel_search_remainder_scales_with_workers(catalog, executor):
         rollout_depth=4,
         seed=9,
     )
-    result = ParallelCoordinator(
-        initial_difftrees(QUERIES), engine, simple_reward, config
-    ).run()
+    result = parallel_search(initial_difftrees(QUERIES), engine, simple_reward, config)
     # every worker runs its full 7-iteration budget (3 + 3 + 1)
     assert result.stats.iterations == 14
     assert result.stats.per_worker_iterations == [7, 7]

@@ -32,7 +32,6 @@ from repro.database.types import Column, DataType
 from repro.difftree.builder import parse_queries
 from repro.mapping.memo import MappingMemo
 from repro.search.backends import BACKEND_ENV_VAR
-from repro.search.backends.process import MP_START_ENV_VAR, _mp_context
 from repro.service import (
     CACHE_VERSION,
     CacheStore,
@@ -43,6 +42,7 @@ from repro.service import (
     persistence_key,
     workload_fingerprint,
 )
+from repro.service.pool import MP_START_ENV_VAR, _mp_context
 from repro.workloads import WORKLOADS
 
 QUERIES = [
@@ -86,10 +86,12 @@ def _signature(result) -> tuple:
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_cold_warm_and_persisted_runs_byte_identical(workload, tmp_path):
     """Cold one-shot vs warm pool vs persisted-cache reload: same bytes."""
-    # cold one-shot: fresh processes, no cache directory, no pool
+    # cold one-shot: a pool that lives for this one search, no cache directory
     cold = generate_for_workload(
         WORKLOADS[workload], catalog=_fresh_catalog(), config=_service_config("process")
     )
+    assert cold.search_stats.backend == "process"
+    assert cold.search_stats.pool is None
 
     # warm pool: one service, two requests over live workers
     with GenerationService(
@@ -101,6 +103,9 @@ def test_cold_warm_and_persisted_runs_byte_identical(workload, tmp_path):
         assert service.requests[1].pool == "warm"
     warm_stats = pooled_second.search_stats
 
+    # pool-served requests report the same backend as the one-shot run
+    assert pooled_first.search_stats.backend == "process"
+    assert warm_stats.backend == "process"
     # the warm request skips spawn, warm-up and previously explored states
     assert warm_stats.pool == "warm"
     assert warm_stats.warmup_seconds == 0.0
