@@ -1,21 +1,21 @@
-"""Outer-join / nested-loop join scaling — vectorized vs row-based plans.
+"""Outer-join / nested-loop join scaling — vectorized plans vs the interpreter.
 
-PR 2's columnar benchmark covered the filter / aggregate / inner-hash-join
-shapes; this one covers the joins that used to fall back to the row engine:
-LEFT / RIGHT hash joins (typed-NULL padding after the residual filter) and
-non-equi ON conditions (block-wise vectorized nested loop).  The workload
-runs both engines at catalogue scale 4 and checks that
+The columnar scaling benchmark covers the filter / aggregate /
+inner-hash-join shapes; this one covers LEFT / RIGHT hash joins (typed-NULL
+padding after the residual filter) and non-equi ON conditions (block-wise
+vectorized nested loop).  The workload runs the columnar engine and the AST
+interpreter (the equivalence oracle, which cross-products every join) at
+catalogue scale 4 and checks that
 
-* every query returns identical results (rows and order) on both engines,
-* the columnar engine reports **zero** runtime fallbacks — these operators
-  are covered, not tolerated — and
-* vectorized execution is at least 3× faster than the row-based planned
-  executor over the whole outer-join/nested-loop workload.
+* every query returns identical results (rows and order) on both,
+* every query runs on the columnar engine, and
+* vectorized execution is at least 3× faster than the interpreter over the
+  whole outer-join/nested-loop workload.
 
-Plans are warmed through a shared cache before timing, so the numbers compare
-pure execution.  The measured numbers are written to
-``BENCH_columnar_joins.json`` at the repo root (uploaded as a CI artifact) so
-the perf trajectory is tracked per run.
+The columnar plans are warmed before timing, so its numbers are pure
+execution.  The measured numbers are written to ``BENCH_columnar_joins.json``
+at the repo root (uploaded as a CI artifact) so the perf trajectory is
+tracked per run.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from repro.database.datasets import standard_catalog
 SCALE = 4.0
 REQUIRED_SPEEDUP = 3.0
 
-#: the join shapes that previously dropped to the per-row interpreter path
+#: outer hash joins and non-equi joins
 WORKLOAD = {
     "outer-hash": [
         # LEFT with a residual ON conjunct: pad after the residual filter
@@ -51,11 +51,10 @@ WORKLOAD = {
 
 
 def _executors(catalog):
-    """Row-planned and columnar executors sharing one warm plan cache."""
-    plans = PlanCache()
-    row = Executor(catalog, enable_cache=False, columnar=False, plan_cache=plans)
-    col = Executor(catalog, enable_cache=False, columnar=True, plan_cache=plans)
-    return row, col
+    """The interpreter and a columnar executor on a private plan cache."""
+    interp = Executor(catalog, enable_cache=False, use_planner=False)
+    col = Executor(catalog, enable_cache=False, plan_cache=PlanCache())
+    return interp, col
 
 
 def _time_queries(executor: Executor, queries, repeats: int = 3) -> float:
@@ -71,50 +70,50 @@ def _time_queries(executor: Executor, queries, repeats: int = 3) -> float:
 
 def test_columnar_outer_and_nested_loop_join_speedup():
     catalog = standard_catalog(seed=42, scale=SCALE)
-    row, col = _executors(catalog)
+    interp, col = _executors(catalog)
 
     # equivalence first: identical rows in identical order, NULL padding
     # included, on every query
+    queries_total = 0
     for queries in WORKLOAD.values():
         for sql in queries:
-            expected = row.execute_sql(sql)
+            expected = interp.execute_sql(sql)
             actual = col.execute_sql(sql)
             assert expected.rows == actual.rows, sql
             assert expected.column_names() == actual.column_names()
-    # covered, not tolerated: no query may have dropped to the row engine
-    assert col.stats.columnar_fallbacks == 0
-    assert col.stats.columnar_plan_gated == 0
+            queries_total += 1
+    assert col.stats.columnar_executions == queries_total
     assert col.stats.nested_loop_joins_columnar >= len(WORKLOAD["nested-loop"])
 
     rows = []
     shape_times = {}
     for shape, queries in WORKLOAD.items():
-        row_t = _time_queries(row, queries)
+        interp_t = _time_queries(interp, queries)
         col_t = _time_queries(col, queries)
-        shape_times[shape] = (row_t, col_t)
+        shape_times[shape] = (interp_t, col_t)
         rows.append(
             [
                 shape,
-                f"{row_t * 1000:.1f}ms",
+                f"{interp_t * 1000:.1f}ms",
                 f"{col_t * 1000:.1f}ms",
-                f"{row_t / max(col_t, 1e-9):.1f}x",
+                f"{interp_t / max(col_t, 1e-9):.1f}x",
             ]
         )
-    total_row = sum(t for t, _ in shape_times.values())
+    total_interp = sum(t for t, _ in shape_times.values())
     total_col = sum(t for _, t in shape_times.values())
-    speedup = total_row / max(total_col, 1e-9)
+    speedup = total_interp / max(total_col, 1e-9)
     rows.append(
         [
             "total",
-            f"{total_row * 1000:.1f}ms",
+            f"{total_interp * 1000:.1f}ms",
             f"{total_col * 1000:.1f}ms",
             f"{speedup:.1f}x",
         ]
     )
     print_table(
         f"Outer-join / nested-loop workload at scale x{SCALE:g}: "
-        "row plans vs columnar (same plan cache)",
-        ["shape", "row plans", "columnar", "speedup"],
+        "interpreter vs columnar",
+        ["shape", "interpreter", "columnar", "speedup"],
         rows,
     )
 
@@ -122,13 +121,12 @@ def test_columnar_outer_and_nested_loop_join_speedup():
         "benchmark": "columnar_joins",
         "catalog_scale": SCALE,
         "queries": {shape: len(qs) for shape, qs in WORKLOAD.items()},
-        "row_seconds": {s: t[0] for s, t in shape_times.items()},
+        "interpreter_seconds": {s: t[0] for s, t in shape_times.items()},
         "columnar_seconds": {s: t[1] for s, t in shape_times.items()},
-        "total_row_seconds": total_row,
+        "total_interpreter_seconds": total_interp,
         "total_columnar_seconds": total_col,
         "speedup": speedup,
         "required_speedup": REQUIRED_SPEEDUP,
-        "columnar_fallbacks": col.stats.columnar_fallbacks,
         "nested_loop_joins_columnar": col.stats.nested_loop_joins_columnar,
         "hash_joins_columnar": col.stats.hash_joins_executed,
     }
@@ -138,5 +136,5 @@ def test_columnar_outer_and_nested_loop_join_speedup():
 
     assert speedup >= REQUIRED_SPEEDUP, (
         f"columnar outer/nested-loop joins only {speedup:.1f}x faster than "
-        f"row-based plans at scale {SCALE:g} (required ≥ {REQUIRED_SPEEDUP:g}x)"
+        f"the interpreter at scale {SCALE:g} (required ≥ {REQUIRED_SPEEDUP:g}x)"
     )

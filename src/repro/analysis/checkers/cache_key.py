@@ -1,7 +1,7 @@
 """``cache-key-field``: every behavior-altering planner flag is in the key.
 
 PR 5's hardest bug class: an ``Executor`` option that changes the *compiled
-plan* (join order, engine gating, pushdown shape) but is missing from
+plan* (join order, pushdown shape) but is missing from
 ``repro.database.plancache.plan_key`` lets two executors with different
 settings exchange plans through the shared process-wide cache — silently,
 and only when their fingerprints collide, which no fixed test seed may ever
@@ -116,8 +116,8 @@ class CacheKeyChecker(Checker):
         "parameters and appear at every plan_key(...) call site"
     )
     dynamic_backstop = (
-        "tests/test_planner.py cross-option plan-cache isolation; "
-        "tests/test_columnar.py columnar_subqueries kill-switch equivalence"
+        "tests/test_planner.py::test_every_planner_flag_partitions_the_plan_cache "
+        "cross-option plan-cache isolation"
     )
 
     def check_project(self, project: Project) -> Iterable[Finding]:

@@ -215,7 +215,7 @@ class UnorderedIterationChecker(Checker):
         "without sorted(...)"
     )
     dynamic_backstop = (
-        "tests/test_planner.py 3-way equivalence sweep; "
+        "tests/test_planner.py interpreter/columnar equivalence sweep; "
         "tests/test_backends.py byte-identical backend pins"
     )
 

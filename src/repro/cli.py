@@ -312,9 +312,7 @@ def _command_generate(args) -> int:
 
 def _search_summary(stats, executor_stats=None) -> str:
     """One-line search diagnostics (backend, sharing, per-worker progress),
-    plus the executor's columnar coverage: how many reward-loop queries ran
-    vectorized, and — when any were routed to the row engine — the construct
-    responsible, so coverage gaps are observable instead of a bare counter."""
+    plus how many statements the executor ran on the columnar engine."""
     per_worker = ",".join(str(n) for n in stats.per_worker_iterations)
     line = (
         f"search: backend={stats.backend} "
@@ -333,16 +331,7 @@ def _search_summary(stats, executor_stats=None) -> str:
     if stats.warmup_seconds:
         line += f" warmup={stats.warmup_seconds:.2f}s"
     if executor_stats is not None:
-        line += (
-            f"\ncolumnar: executions={executor_stats.columnar_executions} "
-            f"fallbacks={executor_stats.columnar_fallbacks} "
-            f"plan-gated={executor_stats.columnar_plan_gated}"
-        )
-        if executor_stats.fallback_reasons:
-            reason, count = max(
-                executor_stats.fallback_reasons.items(), key=lambda kv: kv[1]
-            )
-            line += f" (top reason: {reason} x{count})"
+        line += f"\ncolumnar: executions={executor_stats.columnar_executions}"
         if stats.backend == "process":
             # process workers rebuild their executors per process; their
             # PlanStats never merge back, so only this process's share

@@ -93,7 +93,7 @@ class PipelineResult:
     best_reward: float
     candidates: list = field(default_factory=list)
     #: query-plan / executor counters (:class:`repro.database.planner.PlanStats`)
-    #: for the run — hash joins vs fallbacks, pushdowns, cache hit rates
+    #: for the run — joins executed, pushdowns, cache hit rates
     executor_stats: object = None
     #: the run's unified metrics registry as a flat ``{name: value}`` dict
     #: (:meth:`repro.obs.metrics.MetricsRegistry.as_dict`): every stats

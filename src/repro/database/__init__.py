@@ -17,7 +17,7 @@ from .datasets import (
     small_catalog,
     standard_catalog,
 )
-from .columnar import ColumnarRelation, UnsupportedColumnar
+from .columnar import ColumnarRelation
 from .executor import ExecutionError, Executor
 from .functions import TODAY, function_return_type, is_aggregate
 from .plancache import SHARED_PLAN_CACHE, PlanCache
@@ -47,7 +47,6 @@ __all__ = [
     "Planner",
     "PlanningError",
     "SHARED_PLAN_CACHE",
-    "UnsupportedColumnar",
     "RelColumn",
     "Relation",
     "ResultColumn",

@@ -1,37 +1,40 @@
 """Vectorized (column-major) plan execution.
 
-This module is the columnar half of the execution layer: it runs the same
-logical plans as the row-based executor (:mod:`repro.database.executor`) but
-operates on whole columns in tight loops instead of per-row tuple indexing.
-Base tables already store their data column-major, so scans are zero-copy
-column references; pushed-down filters become one selection-index pass per
-predicate; hash joins build on the smaller input and gather both sides by
-index vectors; grouping evaluates each aggregate argument once over the whole
-relation and then slices it per group.
+This module runs the logical plans of :mod:`repro.database.planner` on whole
+columns in tight loops instead of per-row tuple indexing; it executes every
+planned statement, and :mod:`repro.database.executor` keeps only the AST
+interpreter (the equivalence oracle) and the shared DISTINCT / ORDER BY /
+LIMIT tail.  Base tables already store their data column-major, so scans are
+zero-copy column references; pushed-down filters become one selection-index
+pass per predicate; hash joins build on the smaller input and gather both
+sides by index vectors; grouping evaluates each aggregate argument once over
+the whole relation and then slices it per group.
 
 Equivalence contract: for every supported query the columnar engine produces
 a ``ResultTable`` identical — columns, dtypes, sources, and *row order* — to
-the row-based planned executor and the AST interpreter.  All scalar semantics
-(comparison coercion, NULL propagation, LIKE, NaN join keys) are delegated to
-:mod:`repro.database.values`, the single source of truth shared with the row
-engine.  Joins are fully covered: LEFT / RIGHT hash joins pad unmatched
-preserved rows with typed NULL columns after the residual filter, and
-non-equi ON conditions run through a block-wise vectorized nested-loop join —
-both reproduce the row engine's emission order exactly.  Uncorrelated scalar
-and IN subqueries (admitted by the planner's per-stage gating) are executed
-once through the owning executor and broadcast as constants / membership
-sets.  The rare remainder the vectorized evaluator cannot prove equivalent
-(aggregates outside a grouping stage) raises :class:`UnsupportedColumnar`
-and the executor falls back to the row-based plan path for that query.
+the AST interpreter.  All scalar semantics (comparison coercion, NULL
+propagation, LIKE, NaN join keys) are delegated to
+:mod:`repro.database.values`, the single source of truth shared with the
+interpreter.  LEFT / RIGHT hash joins pad unmatched preserved rows with typed
+NULL columns after the residual filter, and non-equi ON conditions run
+through a block-wise vectorized nested-loop join — both reproduce the
+interpreter's emission order exactly.  Scalar and IN subqueries that the
+planner proves self-contained are executed once through the owning executor
+and broadcast as constants / membership sets; a correlated one is re-run once
+per row of its stage (per group's first row under grouping) through the
+interpreter's own expression evaluator, with that row as its outer scope.  An
+aggregate outside a grouping stage treats each row as a one-row group, as the
+interpreter does.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from ..obs import span
 from ..sqlparser import L, Node
 from .functions import AGGREGATE_FUNCTIONS, SCALAR_FUNCTIONS, is_aggregate
+from .executor import Environment, ExecutionError, Executor
 from .planner import (
     CrossJoinOp,
     FilterOp,
@@ -55,17 +58,6 @@ from .values import (
     like_matcher,
     null_vector,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .executor import Environment, Executor
-
-
-class UnsupportedColumnar(Exception):
-    """Raised when a plan or expression has no vectorized equivalent.
-
-    The executor catches this and re-runs the query on the row-based plan
-    path, so raising it is always safe — it costs time, never correctness.
-    """
 
 
 class ColumnarRelation:
@@ -160,27 +152,26 @@ class _Group:
 class ColumnarEngine:
     """Runs compiled plans column-at-a-time on behalf of an :class:`Executor`.
 
-    The engine delegates output-schema description, result finalisation and
-    the DISTINCT / ORDER BY / LIMIT stages to the owning executor so the two
-    plan paths share one implementation of everything that is not a per-row
-    hot loop.
+    The engine delegates output-schema description, result finalisation,
+    correlated-subquery evaluation and the DISTINCT / ORDER BY / LIMIT stages
+    to the owning executor, so it shares one implementation with the
+    interpreter of everything that is not a per-row hot loop.
     """
 
-    def __init__(self, executor: "Executor") -> None:
+    def __init__(self, executor: Executor) -> None:
         self.ex = executor
 
     # -- plan execution ------------------------------------------------------
 
-    def execute_plan(self, plan: Plan, env: Optional["Environment"]) -> ResultTable:
+    def execute_plan(self, plan: Plan, env: Optional[Environment]) -> ResultTable:
         """Run source → filter → group/project; the executor runs the tail."""
         with span("columnar.execute"):
             return self._execute_plan(plan, env)
 
-    def _execute_plan(self, plan: Plan, env: Optional["Environment"]) -> ResultTable:
-        hash_joins = cross_joins = nested_loops = 0
+    def _execute_plan(self, plan: Plan, env: Optional[Environment]) -> ResultTable:
+        stats = self.ex.stats
 
         def run(op: Optional[PlanOp]) -> ColumnarRelation:
-            nonlocal hash_joins, cross_joins, nested_loops
             if op is None:
                 return ColumnarRelation([], [], 1)  # FROM-less: one empty row
             if isinstance(op, ScanOp):
@@ -208,33 +199,23 @@ class ColumnarEngine:
                     list(op.schema), [crel.cols[i] for i in op.indices], crel.nrows
                 )
             if isinstance(op, HashJoinOp):
-                crel = self._hash_join(run(op.left), run(op.right), op, env)
-                hash_joins += 1
-                return crel
+                stats.hash_joins_executed += 1
+                return self._hash_join(run(op.left), run(op.right), op, env)
             if isinstance(op, NestedLoopJoinOp):
-                crel = self._nested_loop_join(run(op.left), run(op.right), op, env)
-                nested_loops += 1
-                return crel
+                stats.nested_loop_joins_columnar += 1
+                return self._nested_loop_join(run(op.left), run(op.right), op, env)
             if isinstance(op, CrossJoinOp):
-                cross_joins += 1
+                stats.cross_joins_executed += 1
                 return self._cross_join(run(op.left), run(op.right))
-            raise UnsupportedColumnar(f"operator {type(op).__name__}")
+            raise ExecutionError(f"unknown plan operator {op!r}")
 
         crel = run(plan.source)
         if plan.residual_where is not None:
             crel = self._filter(crel, plan.residual_where, env)
 
         if plan.groupby is not None or plan.has_aggregates:
-            result = self._grouped(crel, plan.select, plan.groupby, plan.having, env)
-        else:
-            result = self._project(crel, plan.select, env)
-
-        # flush operator counters only on success so a fallback re-run does
-        # not double-count
-        self.ex.stats.hash_joins_executed += hash_joins
-        self.ex.stats.cross_joins_executed += cross_joins
-        self.ex.stats.nested_loop_joins_columnar += nested_loops
-        return result
+            return self._grouped(crel, plan.select, plan.groupby, plan.having, env)
+        return self._project(crel, plan.select, env)
 
     # -- operators -----------------------------------------------------------
 
@@ -242,7 +223,7 @@ class ColumnarEngine:
         self,
         crel: ColumnarRelation,
         predicate: Node,
-        env: Optional["Environment"],
+        env: Optional[Environment],
     ) -> ColumnarRelation:
         mask = self._eval(predicate, crel, env)
         if mask[0] is _SCALAR:
@@ -258,7 +239,7 @@ class ColumnarEngine:
         self,
         crel: ColumnarRelation,
         predicates: list[Node],
-        env: Optional["Environment"],
+        env: Optional[Environment],
     ) -> ColumnarRelation:
         """Apply pushed conjuncts over one shared selection-index vector.
 
@@ -312,7 +293,7 @@ class ColumnarEngine:
         left: ColumnarRelation,
         right: ColumnarRelation,
         op: HashJoinOp,
-        env: Optional["Environment"],
+        env: Optional[Environment],
     ) -> ColumnarRelation:
         """Order-preserving hash join that builds on the smaller input.
 
@@ -383,7 +364,7 @@ class ColumnarEngine:
         left: ColumnarRelation,
         right: ColumnarRelation,
         op: NestedLoopJoinOp,
-        env: Optional["Environment"],
+        env: Optional[Environment],
     ) -> ColumnarRelation:
         """Block-wise vectorized nested-loop join (non-equi ON conditions).
 
@@ -391,9 +372,9 @@ class ColumnarEngine:
         evaluates the ON condition once per block over the block's column
         slices (so comparisons run through the vector fast paths instead of
         a per-row environment), and gathers the surviving ``(left, right)``
-        index pairs.  Emission order is left-major — identical to the row
-        engine's cross-join + filter — and LEFT / RIGHT padding appends the
-        unmatched preserved rows afterwards, exactly like the row engine.
+        index pairs.  Emission order is left-major — identical to the
+        interpreter's cross-join + filter — and LEFT / RIGHT padding appends
+        the unmatched preserved rows afterwards, exactly like the interpreter.
         """
         nl, nr = left.nrows, right.nrows
         columns = left.columns + right.columns
@@ -457,12 +438,12 @@ class ColumnarEngine:
     ) -> ColumnarRelation:
         """Append NULL-padded unmatched preserved rows below a filtered join.
 
-        Mirrors the row engine's :meth:`Executor._pad_outer` exactly,
+        Mirrors the interpreter's :meth:`Executor._pad_outer` exactly,
         including its *value-tuple* matching: a preserved row counts as
         matched when any surviving join row carries the same value tuple on
         the preserved side (so duplicate rows are padded — or not — together,
-        and NaN components compare by object identity on both engines, which
-        agree because both gather the very same stored value objects).
+        and NaN components compare by object identity in both, which agree
+        because both gather the very same stored value objects).
         """
         preserved = left if left_side else right
         offset = 0 if left_side else len(left.columns)
@@ -503,7 +484,7 @@ class ColumnarEngine:
         self,
         crel: ColumnarRelation,
         select: Node,
-        env: Optional["Environment"],
+        env: Optional[Environment],
     ) -> ResultTable:
         relation = Relation(columns=crel.columns)
         out_columns = self.ex._output_columns(relation, select)
@@ -527,7 +508,7 @@ class ColumnarEngine:
         select: Node,
         groupby: Optional[Node],
         having: Optional[Node],
-        env: Optional["Environment"],
+        env: Optional[Environment],
     ) -> ResultTable:
         group_exprs = list(groupby.children) if groupby is not None else []
         n = crel.nrows
@@ -568,14 +549,14 @@ class ColumnarEngine:
         expr: Node,
         crel: ColumnarRelation,
         groups: list[_Group],
-        env: Optional["Environment"],
-        memo: Optional[list] = None,
+        env: Optional[Environment],
+        memo: list,
     ) -> list:
         """Evaluate one select/HAVING expression to a value per group.
 
         Aggregate calls slice a single whole-relation argument vector per
         group; non-aggregate subtrees are evaluated against each group's
-        first row (matching the row engine's group environment).  ``memo``
+        first row (matching the interpreter's group environment).  ``memo``
         caches the gathered first-rows relation across the select items and
         HAVING subtrees that share one group list.
         """
@@ -608,11 +589,8 @@ class ColumnarEngine:
             return out
 
         if not contains_aggregate(expr):
-            if memo is None:
-                memo = [None]
-            if memo[0] is None:
-                memo[0] = self._first_rows(crel, groups)
-            return _broadcast(self._eval(expr, memo[0], env), len(groups))
+            firsts = self._first_rows(crel, groups, memo)
+            return _broadcast(self._eval(expr, firsts, env), len(groups))
 
         # composite expression over aggregates: recurse per node kind
         if label == L.BINOP:
@@ -628,7 +606,7 @@ class ColumnarEngine:
                     None if a is None or b is None else arith_values(op, a, b)
                     for a, b in zip(lv, rv)
                 ]
-            raise UnsupportedColumnar(f"operator {op!r}")
+            raise ExecutionError(f"unsupported operator {op!r}")
         if label == L.NEG:
             values = self._eval_per_group(expr.children[0], crel, groups, env, memo)
             return [None if v is None else -v for v in values]
@@ -672,13 +650,16 @@ class ColumnarEngine:
             ]
         if label == L.IN_QUERY:
             values = self._eval_per_group(expr.children[0], crel, groups, env, memo)
-            sub = self.ex.execute(expr.children[1], env, _nested=True)
-            if not sub.columns:
-                return [False] * len(groups)
-            members = set(row[0] for row in sub.rows)
-            return [v in members for v in values]
+            sub = expr.children[1]
+            if self.ex.planner._self_contained(sub):
+                members = [self._members(sub, env)] * len(groups)
+            else:
+                # correlated: one run per group, scoped on its first row
+                firsts = self._first_rows(crel, groups, memo)
+                members = [self._members(sub, e) for e in _row_envs(firsts, env)]
+            return [v in m for v, m in zip(values, members)]
         if label == L.FUNC and str(expr.value).removesuffix(" distinct") in SCALAR_FUNCTIONS:
-            # a stray DISTINCT on a scalar call is ignored, like the row engine
+            # a stray DISTINCT on a scalar call is ignored, like the interpreter
             fn = SCALAR_FUNCTIONS[str(expr.value).removesuffix(" distinct")]
             args = [
                 self._eval_per_group(c, crel, groups, env, memo)
@@ -689,15 +670,15 @@ class ColumnarEngine:
             ]
         if label == L.CASE:
             return self._case_per_group(expr, crel, groups, env, memo)
-        raise UnsupportedColumnar(f"aggregate expression node {label!r}")
+        raise ExecutionError(f"cannot evaluate expression node {label!r}")
 
     def _case_per_group(
         self,
         expr: Node,
         crel: ColumnarRelation,
         groups: list[_Group],
-        env: Optional["Environment"],
-        memo: Optional[list] = None,
+        env: Optional[Environment],
+        memo: list,
     ) -> list:
         out: list = [None] * len(groups)
         unset = [True] * len(groups)
@@ -720,14 +701,24 @@ class ColumnarEngine:
         return out
 
     @staticmethod
-    def _first_rows(crel: ColumnarRelation, groups: list[_Group]) -> ColumnarRelation:
+    def _first_rows(
+        crel: ColumnarRelation, groups: list[_Group], memo: list
+    ) -> ColumnarRelation:
         """One row per group: its first member row (all-NULL for an empty
-        group, which only occurs for aggregates over an empty relation)."""
-        cols = [
-            [col[g.first] if g.first is not None else None for g in groups]
-            for col in crel.cols
-        ]
-        return ColumnarRelation(crel.columns, cols, len(groups))
+        group, which only occurs for aggregates over an empty relation),
+        gathered once per ``memo``."""
+        if memo[0] is None:
+            cols = [
+                [col[g.first] if g.first is not None else None for g in groups]
+                for col in crel.cols
+            ]
+            memo[0] = ColumnarRelation(crel.columns, cols, len(groups))
+        return memo[0]
+
+    def _members(self, sub: Node, env: Optional[Environment]) -> set:
+        """The membership set of an IN subquery run in scope ``env``."""
+        result = self.ex.execute(sub, env, _nested=True)
+        return {row[0] for row in result.rows} if result.columns else set()
 
     # -- vectorized expression evaluation -------------------------------------
 
@@ -735,7 +726,7 @@ class ColumnarEngine:
         self,
         node: Node,
         crel: ColumnarRelation,
-        env: Optional["Environment"],
+        env: Optional[Environment],
     ) -> tuple:
         """Evaluate an expression over a relation.
 
@@ -762,8 +753,6 @@ class ColumnarEngine:
                 found, value = env.lookup(name)
                 if found:
                     return (_SCALAR, value)
-            from .executor import ExecutionError
-
             raise ExecutionError(f"unknown column {node.value!r}")
         if label == L.NEG:
             tag, val = self._eval(node.children[0], crel, env)
@@ -824,33 +813,33 @@ class ColumnarEngine:
             return self._eval_func(node, crel, env)
         if label == L.CASE:
             return self._eval_case(node, crel, env)
+        if label == L.SUBQUERY or label == L.IN_QUERY:
+            sub = node if label == L.SUBQUERY else node.children[1]
+            if not self.ex.planner._self_contained(sub):
+                # correlated: re-run per row through the interpreter's own
+                # evaluator, each run scoped on that row
+                return (
+                    _VECTOR,
+                    [self.ex._eval_expr(node, e) for e in _row_envs(crel, env)],
+                )
         if label == L.SUBQUERY:
-            # plan-time gating admits only self-contained subqueries here, so
-            # one execution stands in for the row engine's per-row re-runs
+            # self-contained: one execution stands in for the per-row re-runs
             sub = self.ex.execute(node, env, _nested=True)
-            if not sub.rows:
-                return (_SCALAR, None)
-            return (_SCALAR, sub.rows[0][0])
+            return (_SCALAR, sub.rows[0][0] if sub.rows else None)
         if label == L.IN_QUERY:
             value = self._eval(node.children[0], crel, env)
-            sub = self.ex.execute(node.children[1], env, _nested=True)
-            if not sub.columns:
-                if value[0] is _SCALAR:
-                    return (_SCALAR, False)
-                return (_VECTOR, [False] * crel.nrows)
-            # membership set built once and broadcast over the vector — the
-            # row engine rebuilds the identical set per row
-            options = set(row[0] for row in sub.rows)
+            # membership set built once and broadcast over the vector
+            options = self._members(node.children[1], env)
             if value[0] is _SCALAR:
                 return (_SCALAR, value[1] in options)
             return (_VECTOR, [v in options for v in value[1]])
-        raise UnsupportedColumnar(f"expression node {label!r}")
+        raise ExecutionError(f"cannot evaluate expression node {label!r}")
 
     def _eval_logical(
         self,
         node: Node,
         crel: ColumnarRelation,
-        env: Optional["Environment"],
+        env: Optional[Environment],
         want_all: bool,
     ) -> tuple:
         parts = [self._eval(c, crel, env) for c in node.children]
@@ -867,7 +856,7 @@ class ColumnarEngine:
         self,
         node: Node,
         crel: ColumnarRelation,
-        env: Optional["Environment"],
+        env: Optional[Environment],
     ) -> tuple:
         op = str(node.value)
         left = self._eval(node.children[0], crel, env)
@@ -910,25 +899,27 @@ class ColumnarEngine:
                     for a, b in zip(lv, rv)
                 ],
             )
-        from .executor import ExecutionError
-
         raise ExecutionError(f"unsupported operator {op!r}")
 
     def _eval_func(
         self,
         node: Node,
         crel: ColumnarRelation,
-        env: Optional["Environment"],
+        env: Optional[Environment],
     ) -> tuple:
         name = str(node.value)
-        if is_aggregate(name):
-            # aggregates outside a grouping stage (e.g. inside WHERE) keep
-            # the row engine's peculiar single-row-group semantics
-            raise UnsupportedColumnar("aggregate outside grouping stage")
         base = name.removesuffix(" distinct")
+        if is_aggregate(name):
+            # outside a grouping stage (WHERE, ON, GROUP BY keys, aggregate
+            # arguments) every row is a one-row group, as in the interpreter
+            agg = AGGREGATE_FUNCTIONS[base]
+            if not node.children or node.children[0].label == L.STAR:
+                return (_SCALAR, agg([1]))
+            tag, val = self._eval(node.children[0], crel, env)
+            if tag is _SCALAR:
+                return (_SCALAR, agg([val]))
+            return (_VECTOR, [agg([v]) for v in val])
         if base not in SCALAR_FUNCTIONS:
-            from .executor import ExecutionError
-
             raise ExecutionError(f"unknown function {base!r}")
         fn = SCALAR_FUNCTIONS[base]
         args = [self._eval(c, crel, env) for c in node.children]
@@ -942,7 +933,7 @@ class ColumnarEngine:
         self,
         node: Node,
         crel: ColumnarRelation,
-        env: Optional["Environment"],
+        env: Optional[Environment],
     ) -> tuple:
         n = crel.nrows
         out: list = [None] * n
@@ -969,6 +960,16 @@ class ColumnarEngine:
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
+
+
+def _row_envs(
+    crel: ColumnarRelation, env: Optional[Environment]
+) -> list[Environment]:
+    """One interpreter scope per row of ``crel``, chained onto ``env``."""
+    relation = Relation(columns=crel.columns)
+    cols = [crel.cols[c] for c in range(len(crel.columns))]
+    rows = zip(*cols) if cols else [()] * crel.nrows
+    return [Environment(relation, row, parent=env) for row in rows]
 
 
 def _key_is_null(key, multi: bool) -> bool:

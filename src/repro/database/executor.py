@@ -1,15 +1,16 @@
 """A planned relational query executor over the in-memory catalogue.
 
-Execution is split into three layers.  :mod:`repro.database.planner` compiles
-each SELECT AST into a small logical plan — scan → filter → join → group →
-project → order → limit; this module runs those plans row by row; and
-:mod:`repro.database.columnar` runs the same plans column-at-a-time over the
-column-major base tables (the default).  The plan layer exists because
-interface generation's MCTS reward loop executes thousands of small queries
-per run: hash equi-joins replace the interpreter's cross-product + filter
-(O(|L|+|R|) instead of O(|L|·|R|)), single-table WHERE conjuncts are pushed
-below joins onto base-table scans (and into FROM subqueries when provably
-safe), and scans materialise only the columns a statement references.
+Execution is split into layers.  :mod:`repro.database.planner` compiles each
+SELECT AST into a small logical plan — scan → filter → join → group →
+project → order → limit — and :mod:`repro.database.columnar` runs those plans
+column-at-a-time over the column-major base tables; this module owns the
+public API, the DISTINCT / ORDER BY / LIMIT tail, and the AST interpreter.
+The plan layer exists because interface generation's MCTS reward loop
+executes thousands of small queries per run: hash equi-joins replace the
+interpreter's cross-product + filter (O(|L|+|R|) instead of O(|L|·|R|)),
+single-table WHERE conjuncts are pushed below joins onto base-table scans
+(and into FROM subqueries when provably safe), and scans materialise only the
+columns a statement references.
 
 Compiled plans are cached by AST fingerprint in a **process-wide** cache
 (:data:`repro.database.plancache.SHARED_PLAN_CACHE`) shared across every
@@ -19,15 +20,11 @@ distinct query exactly once — and correlated subqueries re-executed per
 outer row plan once.
 
 The original AST interpreter is retained behind ``use_planner=False`` and
-serves as the equivalence oracle: planned execution — row-based or columnar —
-must produce identical ``ResultTable``s (columns, types, sources, and row
-order) for every supported query.  The vectorized engine covers every join
-shape (inner/outer hash joins, non-equi nested loops) and evaluates
-uncorrelated subquery predicates once with a broadcast; the rare remainder
-(correlated subqueries, aggregates outside grouping) runs on the row-based
-plan path, with the responsible construct recorded in
-``PlanStats.fallback_reasons``.  Supported SQL surface (unchanged from the
-interpreter):
+serves as the equivalence oracle: planned execution must produce identical
+``ResultTable``s (columns, types, sources, and row order) for every supported
+query.  The columnar engine runs every planned statement: self-contained
+subqueries evaluate once and broadcast, and correlated ones re-run per row
+through this module's own expression evaluator.  Supported SQL surface:
 
 * projections with expressions, aliases, ``DISTINCT``, ``*``
 * comma joins, explicit ``JOIN ... ON`` (inner / left / right), subqueries
@@ -54,30 +51,17 @@ from typing import Optional
 
 from ..obs import span
 from ..sqlparser import L, Node, parse, to_sql
-from .catalog import Catalog, CatalogError
+from .catalog import Catalog
 from .functions import (
     AGGREGATE_FUNCTIONS,
     SCALAR_FUNCTIONS,
     is_aggregate,
 )
 from .plancache import SHARED_PLAN_CACHE, PlanCache, plan_key
-from .planner import (
-    CrossJoinOp,
-    FilterOp,
-    HashJoinOp,
-    MapOp,
-    NestedLoopJoinOp,
-    Plan,
-    Planner,
-    PlanOp,
-    PlanStats,
-    ScanOp,
-    SubqueryScanOp,
-    contains_aggregate,
-)
-from .table import RelColumn, Relation, ResultColumn, ResultTable, Table
+from .planner import Plan, Planner, PlanStats, contains_aggregate
+from .table import RelColumn, Relation, ResultColumn, ResultTable
 from .types import DataType, aggregate_result_type, infer_value_type, unify_all
-from .values import arith_values, coerce_pair, compare_values, like, null_safe_key
+from .values import arith_values, compare_values, like, null_safe_key
 
 
 class ExecutionError(Exception):
@@ -127,16 +111,10 @@ class Executor:
         catalog: the catalogue to execute against.
         enable_cache: cache results by AST fingerprint (top-level queries
             only; correlated executions are never cached).
-        use_planner: run compiled plans (the default).  ``False`` falls back
-            to direct AST interpretation — kept as the equivalence oracle for
-            tests and as the baseline for the join benchmarks.
-        columnar: run plans on the vectorized column-at-a-time engine when
-            possible (the default).  ``False`` pins the row-based plan
-            executor — kept as the baseline for the columnar benchmarks.
-        columnar_subqueries: keep plans columnar when their expression stages
-            contain *uncorrelated* subqueries (evaluated once and broadcast
-            by the vectorized engine).  ``False`` restores the all-or-nothing
-            gate of the original columnar engine; part of the plan-cache key.
+        use_planner: run compiled plans on the columnar engine (the
+            default).  ``False`` falls back to direct AST interpretation —
+            kept as the equivalence oracle for tests and as the baseline for
+            the join and columnar benchmarks.
         allow_reorder: permit cost-based join reordering for queries whose
             ORDER BY re-fixes the output row order.
         order_insensitive: declare that this executor's *top-level* callers
@@ -162,8 +140,6 @@ class Executor:
         catalog: Catalog,
         enable_cache: bool = True,
         use_planner: bool = True,
-        columnar: bool = True,
-        columnar_subqueries: bool = True,
         allow_reorder: bool = True,
         order_insensitive: bool = False,
         cache_size: int = 1024,
@@ -173,8 +149,6 @@ class Executor:
         self.catalog = catalog
         self.enable_cache = enable_cache
         self.use_planner = use_planner
-        self.columnar = columnar
-        self.columnar_subqueries = columnar_subqueries
         self.allow_reorder = allow_reorder
         self.order_insensitive = order_insensitive
         self.cache_size = max(1, cache_size)
@@ -185,10 +159,9 @@ class Executor:
             self.stats,
             allow_reorder=allow_reorder,
             order_insensitive=order_insensitive,
-            columnar_subqueries=columnar_subqueries,
         )
         self.plan_cache = plan_cache if plan_cache is not None else SHARED_PLAN_CACHE
-        from .columnar import ColumnarEngine  # deferred: columnar imports planner
+        from .columnar import ColumnarEngine  # deferred: columnar imports this module
 
         self._columnar_engine = ColumnarEngine(self)
 
@@ -262,34 +235,8 @@ class Executor:
         if not self.use_planner:
             return self._execute_select_interpreted(stmt, env)
         plan = self._plan_for(stmt, order_insensitive=order_insensitive)
-
-        result: Optional[ResultTable] = None
-        if self.columnar:
-            if plan.columnar_ok:
-                from .columnar import UnsupportedColumnar
-
-                try:
-                    result = self._columnar_engine.execute_plan(plan, env)
-                    self.stats.columnar_executions += 1
-                except UnsupportedColumnar as exc:
-                    self.stats.columnar_fallbacks += 1
-                    self.stats.record_fallback(str(exc))
-            else:
-                self.stats.columnar_plan_gated += 1
-                self.stats.record_fallback(plan.columnar_reason or "plan gated")
-
-        if result is None:
-            relation = self._exec_source(plan.source, env)
-            if plan.residual_where is not None:
-                relation = self._filter(relation, plan.residual_where, env)
-
-            if plan.groupby is not None or plan.has_aggregates:
-                result = self._execute_grouped(
-                    relation, plan.select, plan.groupby, plan.having, env
-                )
-            else:
-                result = self._project(relation, plan.select, env)
-
+        result = self._columnar_engine.execute_plan(plan, env)
+        self.stats.columnar_executions += 1
         if plan.distinct:
             result = self._distinct(result)
         if plan.orderby is not None:
@@ -299,12 +246,7 @@ class Executor:
         return result
 
     def _plan_for(self, stmt: Node, order_insensitive: bool = False) -> Plan:
-        key = plan_key(
-            stmt.fingerprint(),
-            self.allow_reorder,
-            order_insensitive,
-            self.columnar_subqueries,
-        )
+        key = plan_key(stmt.fingerprint(), self.allow_reorder, order_insensitive)
         plan = self.plan_cache.get(self.catalog, key)
         if plan is not None:
             self.stats.plan_cache_hits += 1
@@ -313,124 +255,6 @@ class Executor:
             plan = self.planner.plan(stmt, order_insensitive=order_insensitive)
         self.plan_cache.put(self.catalog, key, plan)
         return plan
-
-    # -- plan execution -------------------------------------------------------
-
-    def _exec_source(
-        self, source: Optional[PlanOp], env: Optional[Environment]
-    ) -> Relation:
-        if source is None:
-            # SELECT without FROM: a single empty row so expressions evaluate once
-            return Relation(columns=[], rows=[tuple()])
-        return self._exec_op(source, env)
-
-    def _exec_op(self, op: PlanOp, env: Optional[Environment]) -> Relation:
-        if isinstance(op, ScanOp):
-            table = self.catalog.table(op.table)
-            if op.column_indices is None:
-                rows = list(table.rows)
-            else:
-                idx = op.column_indices
-                rows = [tuple(row[i] for i in idx) for row in table.rows]
-            relation = Relation(columns=list(op.schema), rows=rows)
-            for pred in op.predicates:
-                relation = self._filter(relation, pred, env)
-            return relation
-
-        if isinstance(op, SubqueryScanOp):
-            sub_result = self.execute(op.stmt, env, _nested=True)
-            columns = [
-                RelColumn(
-                    name=c.name,
-                    qualifier=op.alias,
-                    dtype=c.dtype,
-                    source=c.source,
-                    is_aggregate=c.is_aggregate,
-                )
-                for c in sub_result.columns
-            ]
-            return Relation(columns=columns, rows=list(sub_result.rows))
-
-        if isinstance(op, FilterOp):
-            relation = self._exec_op(op.child, env)
-            for pred in op.predicates:
-                relation = self._filter(relation, pred, env)
-            return relation
-
-        if isinstance(op, MapOp):
-            relation = self._exec_op(op.child, env)
-            idx = op.indices
-            return Relation(
-                columns=list(op.schema),
-                rows=[tuple(row[i] for i in idx) for row in relation.rows],
-            )
-
-        if isinstance(op, HashJoinOp):
-            return self._exec_hash_join(op, env)
-
-        if isinstance(op, NestedLoopJoinOp):
-            self.stats.nested_loop_joins_executed += 1
-            left = self._exec_op(op.left, env)
-            right = self._exec_op(op.right, env)
-            combined = self._cross_join(left, right)
-            filtered = (
-                self._filter(combined, op.condition, env)
-                if op.condition is not None
-                else combined
-            )
-            if op.join_type == "LEFT":
-                return self._pad_outer(left, right, combined, filtered, left_side=True)
-            if op.join_type == "RIGHT":
-                return self._pad_outer(left, right, combined, filtered, left_side=False)
-            return filtered
-
-        if isinstance(op, CrossJoinOp):
-            self.stats.cross_joins_executed += 1
-            return self._cross_join(
-                self._exec_op(op.left, env), self._exec_op(op.right, env)
-            )
-
-        raise ExecutionError(f"unknown plan operator {op!r}")
-
-    def _exec_hash_join(self, op: HashJoinOp, env: Optional[Environment]) -> Relation:
-        """Build on the right input, probe from the left.
-
-        Probing left rows in order and emitting right matches in right-row
-        order reproduces the interpreter's cross-join + filter row order
-        exactly, so LIMIT-without-ORDER-BY queries stay deterministic.  Rows
-        with a NULL or NaN key component never match: ``=`` returns false for
-        NULL operands and ``nan == nan`` is false, whereas a dict lookup would
-        match a NaN key through Python's identity shortcut.
-        """
-        self.stats.hash_joins_executed += 1
-        left = self._exec_op(op.left, env)
-        right = self._exec_op(op.right, env)
-        lk, rk = op.left_key_idx, op.right_key_idx
-
-        buckets: dict[tuple, list[tuple]] = {}
-        for rrow in right.rows:
-            key = tuple(rrow[i] for i in rk)
-            if any(v is None or v != v for v in key):
-                continue
-            buckets.setdefault(key, []).append(rrow)
-
-        rows: list[tuple] = []
-        empty: list[tuple] = []
-        for lrow in left.rows:
-            key = tuple(lrow[i] for i in lk)
-            if any(v is None or v != v for v in key):
-                continue
-            for rrow in buckets.get(key, empty):
-                rows.append(lrow + rrow)
-
-        matched = Relation(columns=left.columns + right.columns, rows=rows)
-        if op.residual is not None:
-            matched = self._filter(matched, op.residual, env)
-        if op.join_type == "LEFT":
-            return self._pad_outer(left, right, matched, matched, left_side=True)
-        if op.join_type == "RIGHT":
-            return self._pad_outer(left, right, matched, matched, left_side=False)
-        return matched
 
     # -- FROM interpretation (the pre-plan oracle path) -------------------------
 
@@ -456,7 +280,7 @@ class Executor:
 
         groupby = clauses.get(L.GROUPBY_CLAUSE)
         having = clauses.get(L.HAVING_CLAUSE)
-        has_aggregates = self._contains_aggregate(select) or having is not None
+        has_aggregates = contains_aggregate(select) or having is not None
 
         if groupby is not None or has_aggregates:
             result = self._execute_grouped(relation, select, groupby, having, env)
@@ -672,26 +496,13 @@ class Executor:
     ) -> ResultTable:
         # Evaluate order expressions against the *output* columns first (SQL
         # semantics allow ordering by aliases), falling back to row position.
-        keys = []
-        for item in orderby.children:
-            expr = item.children[0]
-            descending = item.value == "DESC"
-            keys.append((expr, descending))
-
-        def sort_key(row: tuple):
-            parts = []
-            for expr, _ in keys:
-                value = self._eval_output_expr(expr, result, row)
-                parts.append(_null_safe_key(value))
-            return tuple(parts)
-
         rows = list(result.rows)
         # apply sorts right-to-left so earlier keys dominate, honouring DESC
-        for idx in range(len(keys) - 1, -1, -1):
-            expr, descending = keys[idx]
+        for item in reversed(orderby.children):
+            expr = item.children[0]
             rows.sort(
-                key=lambda r: _null_safe_key(self._eval_output_expr(expr, result, r)),
-                reverse=descending,
+                key=lambda r: null_safe_key(self._eval_output_expr(expr, result, r)),
+                reverse=item.value == "DESC",
             )
         return ResultTable(result.columns, rows)
 
@@ -803,7 +614,7 @@ class Executor:
         if expr.label == L.BINOP:
             if expr.value in ("=", "<>", "!=", ">", "<", ">=", "<=", "LIKE"):
                 return to_sql(expr), DataType.BOOL, None, False
-            return to_sql(expr), DataType.FLOAT, None, self._contains_aggregate(expr)
+            return to_sql(expr), DataType.FLOAT, None, contains_aggregate(expr)
         if expr.label == L.SUBQUERY:
             return to_sql(expr), DataType.ANY, None, False
         if expr.label == L.CASE:
@@ -839,9 +650,6 @@ class Executor:
         return ResultTable.from_columns(columns, vectors, nrows)
 
     # -- expression evaluation ----------------------------------------------------------
-
-    def _contains_aggregate(self, node: Node) -> bool:
-        return contains_aggregate(node)
 
     def _eval_expr(
         self,
@@ -912,12 +720,8 @@ class Executor:
             return self._eval_func(node, env, group_rows, relation)
         if label == L.SUBQUERY:
             sub = self.execute(node, env, _nested=True)
-            if not sub.rows:
-                return None
-            if len(sub.rows) > 1 or len(sub.columns) > 1:
-                # scalar context: take the first value (matches SQLite behaviour)
-                return sub.rows[0][0]
-            return sub.rows[0][0]
+            # scalar context: take the first value (matches SQLite behaviour)
+            return sub.rows[0][0] if sub.rows else None
         if label == L.CASE:
             for child in node.children:
                 if child.label == L.WHEN:
@@ -994,9 +798,3 @@ class Executor:
     def _truthy(value: object) -> bool:
         return bool(value)
 
-
-# shared scalar semantics live in .values; the old private helpers are kept
-# as aliases for any external code that imported them
-_coerce_pair = coerce_pair
-_like = like
-_null_safe_key = null_safe_key

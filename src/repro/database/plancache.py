@@ -30,20 +30,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .planner import Plan
 
 
-def plan_key(
-    fingerprint: str,
-    allow_reorder: bool,
-    order_insensitive: bool,
-    columnar_subqueries: bool,
-) -> tuple:
+def plan_key(fingerprint: str, allow_reorder: bool, order_insensitive: bool) -> tuple:
     """The within-catalogue cache key of one compiled plan.
 
     Every planner option that changes the *compiled artifact* must appear
-    here: ``allow_reorder`` / ``order_insensitive`` change the join order,
-    and ``columnar_subqueries`` changes the per-stage subquery gating baked
-    into ``Plan.columnar_ok`` / ``Plan.columnar_reason`` — executors with
-    different gating settings sharing one cache must never exchange plans
-    whose engine routing was decided under the other setting.
+    here: ``allow_reorder`` / ``order_insensitive`` change the join order, so
+    executors with different settings sharing one cache must never exchange
+    plans compiled under the other setting.
 
     Completeness is enforced statically: the ``cache-key-field`` rule of
     ``repro.analysis`` cross-references the flags ``Executor.__init__``
@@ -52,7 +45,7 @@ def plan_key(
     ``static-analysis`` gate (dynamic counterpart:
     ``tests/test_planner.py::test_every_planner_flag_partitions_the_plan_cache``).
     """
-    return (fingerprint, allow_reorder, order_insensitive, columnar_subqueries)
+    return (fingerprint, allow_reorder, order_insensitive)
 
 
 class PlanCache:

@@ -3,8 +3,9 @@
 The planner compiles a parsed SELECT AST into a small logical plan — a tree
 of relational operators (scan → filter → join → group → project → order →
 limit) in the style of Opteryx's AST → plan → execute DAG — which the
-executor then runs.  Planning is where the three optimisations that matter
-for the MCTS reward loop's query traffic live:
+columnar engine (:mod:`repro.database.columnar`) then runs.  Planning is
+where the optimisations that matter for the MCTS reward loop's query
+traffic live:
 
 * **hash equi-joins** — ``JOIN ... ON a = b`` conditions and comma-join
   ``WHERE`` equality conjuncts become :class:`HashJoinOp` nodes (build on the
@@ -30,14 +31,15 @@ unknown schemas, non-equi join conditions, dtype combinations whose equality
 semantics rely on the executor's value coercion) falls back to the
 cross-join + filter strategy of the original interpreter, so planned
 execution is result-identical — including row order — to interpreting the
-AST node by node.  Plans carry a ``columnar_ok`` flag telling the executor
-whether the vectorized engine (:mod:`repro.database.columnar`) can run them.
+AST node by node.  The planner's :meth:`Planner._self_contained` proof also
+tells the columnar engine which expression subqueries it may evaluate once
+and broadcast instead of re-running per row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import ClassVar, Optional, Sequence, Union
 
 from ..sqlparser import L, Node, to_sql
 from .catalog import Catalog
@@ -75,34 +77,24 @@ class PlanStats:
     joins_reordered: int = 0
     columns_pruned: int = 0
     hash_joins_executed: int = 0
-    nested_loop_joins_executed: int = 0
     cross_joins_executed: int = 0
-    #: vectorized block-wise nested-loop joins (the columnar engine's path);
-    #: ``nested_loop_joins_executed`` counts the row engine's executions, so
-    #: the two split the planned total by engine
+    #: vectorized block-wise nested-loop joins executed
     nested_loop_joins_columnar: int = 0
     columnar_executions: int = 0
-    columnar_fallbacks: int = 0
-    #: executions routed to the row engine at *plan* time
-    #: (``Plan.columnar_ok`` false — e.g. a correlated subquery predicate)
-    columnar_plan_gated: int = 0
-    #: first unsupported construct per row-engine routing, reason → count;
-    #: covers both plan-time gating and runtime ``UnsupportedColumnar``
-    #: fallbacks, so coverage gaps are observable instead of a bare counter
-    fallback_reasons: dict = field(default_factory=dict)
     #: column gathers avoided by chaining multi-conjunct filters over one
     #: shared selection-index vector instead of re-gathering per predicate
     filter_gathers_saved: int = 0
     result_cache_hits: int = 0
     result_cache_misses: int = 0
 
-    def record_fallback(self, reason: str) -> None:
-        self.fallback_reasons[reason] = self.fallback_reasons.get(reason, 0) + 1
+    #: constant zeros, kept readable for callers that sum them: every
+    #: planned statement runs on the columnar engine, so none is plan-gated
+    #: or falls back
+    columnar_plan_gated: ClassVar[int] = 0
+    columnar_fallbacks: ClassVar[int] = 0
 
     def as_dict(self) -> dict:
-        d = dict(self.__dict__)
-        d["fallback_reasons"] = dict(self.fallback_reasons)
-        return d
+        return dict(self.__dict__)
 
 
 # ---------------------------------------------------------------------------
@@ -232,15 +224,6 @@ class Plan:
     limit: Optional[Node] = None
     distinct: bool = False
     has_aggregates: bool = False
-    #: True when the vectorized columnar engine can run this plan.  Gating is
-    #: per stage: uncorrelated (self-contained) scalar and IN subqueries in
-    #: the projection / WHERE / GROUP BY / HAVING / join conditions evaluate
-    #: once and broadcast, so only *correlated* subqueries route the plan to
-    #: the row engine.  Subqueries in FROM and in ORDER BY / LIMIT are always
-    #: fine — they execute as separate statements or on the shared tail.
-    columnar_ok: bool = True
-    #: first construct that disqualified the plan (``None`` when columnar_ok)
-    columnar_reason: Optional[str] = None
 
     # -- debugging / diagnostics ----------------------------------------
 
@@ -332,13 +315,6 @@ class Planner:
             ``LIMIT`` keep FROM order — truncation turns a row-order change
             into a row-*set* change.  Off by default; the pipeline opts in
             for the MCTS reward loop only.
-        columnar_subqueries: allow plans whose expression stages contain
-            *uncorrelated* subqueries to stay columnar (evaluate-once +
-            broadcast).  ``False`` restores the all-or-nothing gate — any
-            subquery in a projection / WHERE / GROUP BY / HAVING / ON stage
-            routes the whole plan to the row engine (kept as a kill switch
-            and as the baseline for gating benchmarks).  Part of the plan
-            cache key (:func:`repro.database.plancache.plan_key`).
     """
 
     def __init__(
@@ -347,13 +323,11 @@ class Planner:
         stats: Optional[PlanStats] = None,
         allow_reorder: bool = True,
         order_insensitive: bool = False,
-        columnar_subqueries: bool = True,
     ) -> None:
         self.catalog = catalog
         self.stats = stats or PlanStats()
         self.allow_reorder = allow_reorder
         self.order_insensitive = order_insensitive
-        self.columnar_subqueries = columnar_subqueries
 
     # -- public API --------------------------------------------------------
 
@@ -391,9 +365,6 @@ class Planner:
         groupby = clauses.get(L.GROUPBY_CLAUSE)
         having = clauses.get(L.HAVING_CLAUSE)
         self.stats.plans_compiled += 1
-        columnar_ok, columnar_reason = self._gate_columnar(
-            select, predicate, groupby, having, from_clause
-        )
         return Plan(
             source=source,
             residual_where=residual,
@@ -404,8 +375,6 @@ class Planner:
             limit=clauses.get(L.LIMIT_CLAUSE),
             distinct=select.value == "DISTINCT",
             has_aggregates=contains_aggregate(select) or having is not None,
-            columnar_ok=columnar_ok,
-            columnar_reason=columnar_reason,
         )
 
     @staticmethod
@@ -437,63 +406,7 @@ class Planner:
                 return False
         return True
 
-    # -- columnar gating ------------------------------------------------------
-
-    def _gate_columnar(
-        self,
-        select: Node,
-        predicate: Optional[Node],
-        groupby: Optional[Node],
-        having: Optional[Node],
-        from_clause: Optional[Node],
-    ) -> tuple[bool, Optional[str]]:
-        """Per-stage columnar gating: ``(ok, first disqualifying construct)``.
-
-        FROM subqueries execute as their own statements and ORDER BY / LIMIT
-        run on the shared row-based tail, so only the projection, WHERE,
-        GROUP BY, HAVING and join ON conditions are inspected.  A subquery in
-        one of those stages no longer disqualifies the plan wholesale: when
-        it is provably *self-contained* (every column reference resolves
-        inside the subquery's own scope chain, so per-row re-evaluation is
-        pure repetition) the columnar engine evaluates it once and broadcasts
-        the scalar / membership set into the vectorized stage.  Only
-        correlated subqueries — whose value genuinely depends on the outer
-        row — still route the plan to the row engine.
-        """
-        stages = [
-            ("projection", select),
-            ("WHERE", predicate),
-            ("GROUP BY", groupby),
-            ("HAVING", having),
-        ]
-        if from_clause is not None:
-            stages.extend(
-                ("join condition", cond)
-                for cond in _iter_join_conditions(from_clause)
-            )
-        for stage, node in stages:
-            if node is None:
-                continue
-            stack = [node]
-            while stack:
-                n = stack.pop()
-                if n.label == L.SUBQUERY:
-                    if not self.columnar_subqueries:
-                        return False, f"subquery in {stage}"
-                    if not self._self_contained(n.children[0]):
-                        return False, f"correlated subquery in {stage}"
-                    continue  # inner statement validated recursively above
-                if n.label == L.IN_QUERY:
-                    stack.append(n.children[0])  # the tested expression
-                    sub = n.children[1]
-                    stmt = sub.children[0] if sub.label == L.SUBQUERY else sub
-                    if not self.columnar_subqueries:
-                        return False, f"IN subquery in {stage}"
-                    if not self._self_contained(stmt):
-                        return False, f"correlated IN subquery in {stage}"
-                    continue
-                stack.extend(n.children)
-        return True, None
+    # -- subquery correlation -------------------------------------------------
 
     def _self_contained(self, stmt: Node, outer_scopes: tuple = ()) -> bool:
         """True when executing ``stmt`` can never consult an outer row.
@@ -505,7 +418,9 @@ class Planner:
         statement's relation exists) — resolves somewhere inside the
         statement's own scope chain.  Anything unanalyzable (unknown tables,
         FROM subqueries without a derivable schema, select-alias references)
-        conservatively reports ``False``.
+        conservatively reports ``False``.  The columnar engine evaluates a
+        self-contained expression subquery once and broadcasts it, and
+        re-runs any other one per row of its stage.
         """
         if stmt.label == L.SUBQUERY:
             stmt = stmt.children[0]

@@ -5,8 +5,8 @@ keep one homogeneous Python list per column, which is what the vectorized
 executor (:mod:`repro.database.columnar`) iterates in tight loops.  Row
 tuples are materialised lazily — the first access to ``.rows`` zips the
 column lists and caches the result — so row-oriented consumers (the Difftree
-schema layer, the mapping layer, the interface runtime, and the row-based
-executor paths) keep working unchanged while column-oriented consumers never
+schema layer, the mapping layer, the interface runtime, and the AST
+interpreter) keep working unchanged while column-oriented consumers never
 pay for tuple construction.
 """
 
@@ -201,8 +201,8 @@ class RelColumn:
 class Relation:
     """An intermediate relation: typed columns plus rows of tuples.
 
-    This is the row-major relation used by the interpreter and the row-based
-    plan executor; the vectorized engine uses
+    This is the row-major relation used by the interpreter (and by the
+    scopes of correlated subqueries); the vectorized engine uses
     :class:`repro.database.columnar.ColumnarRelation` instead.
     """
 

@@ -1,11 +1,10 @@
-"""Scalar value semantics shared by the row and columnar execution engines.
+"""Scalar value semantics shared by the interpreter and the columnar engine.
 
 Comparison coercion, ``LIKE`` matching, arithmetic NULL propagation, and the
-NULL-safe sort key all live here so the AST interpreter, the row-based plan
-executor, and the vectorized columnar engine evaluate every operator with
-*identical* semantics — the columnar↔row equivalence sweep in
-``tests/test_planner.py`` relies on this module being the single source of
-truth.
+NULL-safe sort key all live here so the AST interpreter and the vectorized
+columnar engine evaluate every operator with *identical* semantics — the
+interpreter↔columnar equivalence sweep in ``tests/test_planner.py`` relies on
+this module being the single source of truth.
 """
 
 from __future__ import annotations
@@ -113,8 +112,7 @@ def null_vector(n: int) -> list:
     Outer joins pad the unmatched side with one of these per column; the
     column's declared :class:`~repro.database.types.DataType` is carried by
     its ``RelColumn`` schema entry, so padding never changes a column's type —
-    only its values.  Kept here so both join implementations build padding
-    the same way.
+    only its values.
     """
     return [None] * n
 
@@ -124,6 +122,6 @@ def is_null_key(value: object) -> bool:
 
     ``=`` returns false for NULL operands and ``nan == nan`` is false, whereas
     a dict lookup would match a NaN key through Python's identity shortcut —
-    both hash-join implementations must skip these values on build and probe.
+    the hash join must skip these values on build and probe.
     """
     return value is None or value != value

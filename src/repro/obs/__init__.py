@@ -28,7 +28,6 @@ from .trace import TRACE_ENV_VAR, TRACER, SpanEvent, Tracer, span, trace_enabled
 from .views import (
     DETERMINISTIC_SEARCH_METRICS,
     MAPPER_STATS_EXEMPT,
-    PLAN_STATS_EXEMPT,
     REQUEST_STATS_COUNTERS,
     REQUEST_STATS_EXEMPT,
     REQUEST_STATS_GAUGES,
@@ -63,7 +62,6 @@ __all__ = [
     "REQUEST_STATS_COUNTERS",
     "REQUEST_STATS_GAUGES",
     "REQUEST_STATS_EXEMPT",
-    "PLAN_STATS_EXEMPT",
     "MAPPER_STATS_EXEMPT",
     "registry_field_partition",
     "publish_search_stats",

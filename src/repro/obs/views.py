@@ -33,7 +33,6 @@ __all__ = [
     "REQUEST_STATS_COUNTERS",
     "REQUEST_STATS_GAUGES",
     "REQUEST_STATS_EXEMPT",
-    "PLAN_STATS_EXEMPT",
     "MAPPER_STATS_EXEMPT",
     "DETERMINISTIC_SEARCH_METRICS",
     "publish_search_stats",
@@ -158,29 +157,13 @@ def publish_request_stats(stats, registry: MetricsRegistry) -> None:
 # PlanStats (planner / executor) and MapperStats (Algorithm 1)
 # ---------------------------------------------------------------------------
 
-PLAN_STATS_EXEMPT = {
-    "fallback_reasons": "reason -> count dict; published as labelled "
-    "executor.fallback.<reason> counters",
-}
-
 MAPPER_STATS_EXEMPT: dict = {}
 
 
 def publish_plan_stats(stats, registry: MetricsRegistry, prefix: str = "executor") -> None:
-    """Publish every ``PlanStats`` counter under ``<prefix>.*``.
-
-    All fields are int counters except the reason-labelled fallback dict,
-    which becomes one counter per (sorted) reason so coverage gaps stay
-    observable in the registry too.
-    """
+    """Publish every ``PlanStats`` counter under ``<prefix>.*``."""
     for fld in dataclasses.fields(stats):
-        if fld.name in PLAN_STATS_EXEMPT:
-            continue
         registry.counter(f"{prefix}.{fld.name}").inc(int(getattr(stats, fld.name)))
-    for reason in sorted(stats.fallback_reasons):
-        registry.counter(f"{prefix}.fallback.{reason}").inc(
-            stats.fallback_reasons[reason]
-        )
 
 
 def publish_mapper_stats(stats, registry: MetricsRegistry, prefix: str = "mapping") -> None:

@@ -949,11 +949,7 @@ def test_real_cross_reference_targets_still_resolve():
         fn = _find_function(ctx, "plan_key")
         if fn is not None:
             key_params = [a.arg for a in fn.args.args]
-    assert set(flags) == {
-        "allow_reorder",
-        "order_insensitive",
-        "columnar_subqueries",
-    }
+    assert set(flags) == {"allow_reorder", "order_insensitive"}
     assert set(flags) <= set(key_params)
 
     from repro.analysis.checkers.pickle_safety import _ClassIndex

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -77,19 +78,19 @@ def test_generate_from_workload(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "view 0" in out
-    # the search summary surfaces the executor's columnar coverage: the
-    # explore workload must run fully vectorized, with zero fallbacks
+    # the search summary surfaces the executor's columnar executions
     assert "columnar: executions=" in out
-    assert "fallbacks=0" in out
 
 
 def test_generate_summary_names_fallback_reason(capsys):
-    """A workload with correlated subqueries reports the routing reason."""
+    """A workload with correlated subqueries reports its columnar executions
+    and no routing to another engine."""
     code = main(["generate", "--workload", "sales", "--scale", "0.12"])
     assert code == 0
     out = capsys.readouterr().out
-    assert "plan-gated=" in out
-    assert "correlated subquery in HAVING" in out
+    line = next(ln for ln in out.splitlines() if ln.startswith("columnar:"))
+    assert re.match(r"columnar: executions=[1-9]", line), line
+    assert "plan-gated" not in line and "reason" not in line, line
 
 
 def test_parser_structure():

@@ -89,128 +89,128 @@ def test_result_table_copy_is_defensive():
 
 
 def make_pair():
-    private = PlanCache()
-    row = Executor(
-        CATALOG, enable_cache=False, columnar=False, plan_cache=private
-    )
-    col = Executor(
-        CATALOG, enable_cache=False, columnar=True, plan_cache=private
-    )
-    return row, col
+    """The interpreter (the oracle) and a columnar executor on a private
+    plan cache."""
+    interp = Executor(CATALOG, enable_cache=False, use_planner=False)
+    col = Executor(CATALOG, enable_cache=False, plan_cache=PlanCache())
+    return interp, col
 
 
 def test_columnar_runs_supported_queries():
     _, col = make_pair()
     col.execute_sql("SELECT hour, count(*) FROM flights GROUP BY hour")
     assert col.stats.columnar_executions == 1
-    assert col.stats.columnar_fallbacks == 0
 
 
 def test_multi_conjunct_filter_chains_selection_vector():
     """Chained pushed predicates gather columns once, not once per conjunct."""
-    row, col = make_pair()
+    interp, col = make_pair()
     sql = (
         "SELECT id, hp, mpg, disp, origin FROM Cars "
         "WHERE hp > 100 AND mpg > 12 AND disp > 150"
     )
-    assert row.execute_sql(sql).rows == col.execute_sql(sql).rows
+    assert interp.execute_sql(sql).rows == col.execute_sql(sql).rows
     assert col.stats.columnar_executions >= 1
     # the per-predicate strategy re-gathers all five columns after each
     # dropping conjunct; the shared selection vector gathers once at the end
     assert col.stats.filter_gathers_saved > 0
-    assert row.stats.filter_gathers_saved == 0  # row path is untouched
+    assert interp.stats.filter_gathers_saved == 0  # interpreter is untouched
 
 
 def test_filter_chain_handles_all_rows_dropped():
-    row, col = make_pair()
+    interp, col = make_pair()
     sql = "SELECT hp, mpg FROM Cars WHERE hp > 40 AND mpg < -1 AND disp > 50"
-    assert row.execute_sql(sql).rows == col.execute_sql(sql).rows
+    assert interp.execute_sql(sql).rows == col.execute_sql(sql).rows
     assert col.execute_sql(sql).rows == []
 
 
 def test_columnar_result_matches_row_plan_on_join():
-    row, col = make_pair()
+    interp, col = make_pair()
     sql = (
         "SELECT gal.objID, s.ra FROM galaxy as gal, specObj as s "
         "WHERE s.bestObjID = gal.objID AND s.ra > 213.0"
     )
-    assert row.execute_sql(sql).rows == col.execute_sql(sql).rows
+    assert interp.execute_sql(sql).rows == col.execute_sql(sql).rows
     assert col.stats.hash_joins_executed == 1
 
 
 def test_outer_hash_join_runs_columnar_with_null_padding():
-    row, col = make_pair()
+    interp, col = make_pair()
     for sql in (
         "SELECT t.p, s.ra FROM T as t LEFT JOIN specObj as s ON t.p = s.specObjID",
         "SELECT t.p, s.ra FROM T as t RIGHT JOIN specObj as s ON t.p = s.specObjID",
     ):
-        expected = row.execute_sql(sql)
+        expected = interp.execute_sql(sql)
         actual = col.execute_sql(sql)
         assert expected.rows == actual.rows, sql
         # unmatched preserved rows really are there, NULL-padded
         assert any(None in r for r in actual.rows), sql
-    assert col.stats.columnar_fallbacks == 0
     assert col.stats.hash_joins_executed == 2
 
 
 def test_non_equi_join_runs_vectorized_nested_loop():
-    row, col = make_pair()
+    interp, col = make_pair()
     for sql in (
         "SELECT t.p, c.hp FROM T as t JOIN Cars as c ON t.p > c.id",
         "SELECT t.p, c.hp FROM T as t LEFT JOIN Cars as c ON t.p > c.id AND c.hp > 80",
     ):
-        assert row.execute_sql(sql).rows == col.execute_sql(sql).rows, sql
-    assert col.stats.columnar_fallbacks == 0
-    # the counters split the planned nested loops by engine
+        assert interp.execute_sql(sql).rows == col.execute_sql(sql).rows, sql
     assert col.stats.nested_loop_joins_columnar == 2
-    assert row.stats.nested_loop_joins_executed == 2
 
 
 def test_uncorrelated_subquery_predicates_run_columnar():
-    row, col = make_pair()
+    interp, col = make_pair()
     for sql in (
         "SELECT total FROM sales WHERE total >= (SELECT max(total) FROM sales)",
         "SELECT hour FROM flights WHERE hour IN "
         "(SELECT hour FROM flights WHERE hour < 3) AND delay > 0",
     ):
-        assert row.execute_sql(sql).rows == col.execute_sql(sql).rows, sql
-    # the whole plan stays vectorized: the subquery is evaluated once through
-    # the executor and broadcast (outer + inner executions, no fallbacks)
-    assert col.stats.columnar_fallbacks == 0
-    assert col.stats.columnar_plan_gated == 0
-    assert col.stats.columnar_executions >= 4
+        assert interp.execute_sql(sql).rows == col.execute_sql(sql).rows, sql
+    # the subquery is evaluated once through the executor and broadcast:
+    # one outer and one inner execution per statement
+    assert col.stats.columnar_executions == 4
 
 
-def test_correlated_subquery_is_plan_gated_with_reason():
-    _, col = make_pair()
-    col.execute_sql(
+def test_correlated_subquery_runs_columnar():
+    """A correlated subquery keeps its statement on the columnar engine: the
+    outer statement runs vectorized and the subquery re-runs once per row of
+    its stage — once per group's first row under HAVING — each run columnar
+    too."""
+    interp, col = make_pair()
+    sql = (
         "SELECT total FROM sales as ss WHERE total >= "
         "(SELECT max(total) FROM sales as s WHERE s.city = ss.city)"
     )
-    # routed to the row engine at plan time — never a runtime fallback — and
-    # the first unsupported construct is recorded for observability
-    assert col.stats.columnar_fallbacks == 0
-    assert col.stats.columnar_plan_gated == 1
-    assert col.stats.fallback_reasons == {"correlated subquery in WHERE": 1}
+    assert interp.execute_sql(sql).rows == col.execute_sql(sql).rows
+    assert col.stats.columnar_executions == 1 + len(CATALOG.table("sales"))
+
+    # the Sales log's shape: the HAVING subquery and its FROM subquery run
+    # once per (city, product) group
+    interp, col = make_pair()
+    sql = (
+        "SELECT city, product, sum(total) FROM sales as ss "
+        "GROUP BY city, product HAVING sum(total) >= (SELECT max(t) FROM "
+        "(SELECT sum(total) as t FROM sales as s WHERE s.city = ss.city "
+        "GROUP BY s.city, s.product))"
+    )
+    assert interp.execute_sql(sql).rows == col.execute_sql(sql).rows
+    groups = len(interp.execute_sql("SELECT DISTINCT city, product FROM sales").rows)
+    assert col.stats.columnar_executions == 1 + 2 * groups
 
 
 def test_workload_sweep_has_zero_columnar_fallbacks():
-    """Coverage regression gate: every query of every workload log either
-    runs vectorized or is plan-gated for a recorded *correlated-subquery*
-    reason — a runtime fallback means an operator lost columnar coverage."""
+    """Coverage regression gate: every statement of every workload log —
+    the Sales log's correlated HAVING subqueries included — runs on the
+    columnar engine, one execution per planned statement."""
     from repro.workloads.logs import WORKLOADS
 
     ex = Executor(CATALOG, enable_cache=False, plan_cache=PlanCache())
-    total = 0
     for workload in WORKLOADS.values():
         for sql in workload.queries:
             ex.execute_sql(sql)
-            total += 1
-    assert ex.stats.columnar_fallbacks == 0
-    # only the sales log's correlated-HAVING queries may skip the vectorized
-    # engine, and each such routing names its construct
-    assert ex.stats.columnar_executions >= total - ex.stats.columnar_plan_gated
-    assert set(ex.stats.fallback_reasons) <= {"correlated subquery in HAVING"}
+    assert ex.stats.columnar_executions == (
+        ex.stats.plans_compiled + ex.stats.plan_cache_hits
+    )
 
 
 def test_columnar_hash_join_builds_on_smaller_side():

@@ -27,7 +27,6 @@ from repro.mapping.mapper import MapperStats
 from repro.obs import (
     DETERMINISTIC_SEARCH_METRICS,
     MAPPER_STATS_EXEMPT,
-    PLAN_STATS_EXEMPT,
     REQUEST_STATS_COUNTERS,
     REQUEST_STATS_EXEMPT,
     REQUEST_STATS_GAUGES,
@@ -269,8 +268,7 @@ def _published_fields(stats_cls, exempt):
          SEARCH_STATS_EXEMPT),
         (RequestStats, REQUEST_STATS_COUNTERS, REQUEST_STATS_GAUGES,
          REQUEST_STATS_EXEMPT),
-        (PlanStats, _published_fields(PlanStats, PLAN_STATS_EXEMPT), {},
-         PLAN_STATS_EXEMPT),
+        (PlanStats, _published_fields(PlanStats, {}), {}, {}),
         (MapperStats, _published_fields(MapperStats, MAPPER_STATS_EXEMPT), {},
          MAPPER_STATS_EXEMPT),
     ],
@@ -295,11 +293,15 @@ def test_every_stats_field_is_registry_backed_or_exempt(
 def test_plan_and_mapper_stats_publish_every_field():
     plan_stats = PlanStats()
     plan_stats.plans_compiled = 2
-    plan_stats.fallback_reasons["correlated_subquery"] = 3
+    plan_stats.columnar_executions = 3
     registry = MetricsRegistry()
     publish_plan_stats(plan_stats, registry)
     assert registry.value("executor.plans_compiled") == 2
-    assert registry.value("executor.fallback.correlated_subquery") == 3
+    assert registry.value("executor.columnar_executions") == 3
+    # one counter per field, nothing else
+    assert sorted(registry.as_dict()) == sorted(
+        f"executor.{f.name}" for f in dataclasses.fields(PlanStats)
+    )
 
     mapper_stats = MapperStats()
     mapper_stats.memo_hits = 5

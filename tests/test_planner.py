@@ -1,11 +1,11 @@
 """Plan layer tests: hash joins, predicate pushdown, projection pruning.
 
-The core property: for every query the system supports, *both* planned
-executors — the row-based plan runner and the vectorized columnar engine —
-must produce a ``ResultTable`` identical to the pre-plan AST interpreter:
-same column names, types, sources and aggregate flags, and the same rows in
-the same order (order matters: ``LIMIT`` without ``ORDER BY`` is only
-deterministic if planned joins preserve the interpreter's row order).
+The core property: for every query the system supports, planned execution on
+the vectorized columnar engine must produce a ``ResultTable`` identical to
+the pre-plan AST interpreter: same column names, types, sources and aggregate
+flags, and the same rows in the same order (order matters: ``LIMIT`` without
+``ORDER BY`` is only deterministic if planned joins preserve the
+interpreter's row order).
 """
 
 import pytest
@@ -125,6 +125,36 @@ EXTRA_QUERIES = [
     "WHERE city LIKE '%a%' AND t > 0",
     "SELECT c, t FROM (SELECT city as c, count(*) as t, avg(total) FROM sales "
     "GROUP BY city HAVING count(*) > 1) sub WHERE c LIKE '%a%'",
+    # correlated scalar subqueries: re-run per row of their stage, in WHERE,
+    # the projection, a CASE, a JOIN ON, over a hash join, inside an
+    # aggregate argument and in HAVING
+    "SELECT id, hp FROM Cars as c WHERE hp > "
+    "(SELECT avg(d.hp) FROM Cars as d WHERE d.origin = c.origin)",
+    "SELECT id, (SELECT count(*) FROM Cars as d WHERE d.hp > c.hp) FROM Cars as c",
+    "SELECT id, CASE WHEN (SELECT count(*) FROM Cars as d WHERE d.hp > c.hp) > 5 "
+    "THEN 'top' ELSE 'rest' END FROM Cars as c",
+    "SELECT t.p, c.hp FROM T as t JOIN Cars as c "
+    "ON c.hp > (SELECT min(d.hp) FROM Cars as d WHERE d.id = t.p)",
+    "SELECT t.p, c.hp FROM T as t LEFT JOIN Cars as c ON t.p = c.id "
+    "AND c.hp > (SELECT avg(d.hp) FROM Cars as d WHERE d.origin = c.origin)",
+    "SELECT gal.objID, s.ra FROM galaxy as gal, specObj as s "
+    "WHERE s.bestObjID = gal.objID AND s.ra >= "
+    "(SELECT avg(x.ra) FROM specObj as x WHERE x.bestObjID = gal.objID)",
+    "SELECT origin, sum((SELECT count(*) FROM Cars as d WHERE d.hp > c.hp)) "
+    "FROM Cars as c GROUP BY origin",
+    "SELECT origin, count(*) FROM Cars as c GROUP BY origin HAVING count(*) > "
+    "(SELECT count(*) FROM Cars as d WHERE d.origin = c.origin AND d.hp > 100)",
+    # a reference two scopes out: the innermost subquery reads the outer row
+    "SELECT id FROM Cars as c WHERE hp > (SELECT avg(d.hp) FROM Cars as d "
+    "WHERE d.mpg > (SELECT min(e.mpg) FROM Cars as e WHERE e.origin = c.origin))",
+    # correlated IN subqueries, in WHERE and tested against an aggregate
+    "SELECT id FROM Cars as c WHERE id IN "
+    "(SELECT d.id FROM Cars as d WHERE d.origin = c.origin AND d.hp > 100)",
+    "SELECT origin, max(hp) FROM Cars as c GROUP BY origin "
+    "HAVING max(hp) IN (SELECT d.hp FROM Cars as d WHERE d.origin = c.origin)",
+    # aggregates outside a grouping stage: every row is a one-row group
+    "SELECT hp FROM Cars WHERE hp > max(mpg)",
+    "SELECT hp FROM Cars WHERE min(hp) > 100",
 ]
 
 
@@ -134,38 +164,29 @@ def interpreted():
 
 
 @pytest.fixture(scope="module")
-def planned():
-    return Executor(CATALOG, enable_cache=False, use_planner=True, columnar=False)
-
-
-@pytest.fixture(scope="module")
 def columnar():
-    return Executor(CATALOG, enable_cache=False, use_planner=True, columnar=True)
+    return Executor(CATALOG, enable_cache=False, use_planner=True)
 
 
-def assert_equivalent(interpreted, planned, sql, columnar=None):
+def assert_equivalent(interpreted, columnar, sql):
     expected = interpreted.execute_sql(sql)
-    actuals = [planned.execute_sql(sql)]
-    if columnar is not None:
-        actuals.append(columnar.execute_sql(sql))
-    for actual in actuals:
-        assert [
-            (c.name, c.dtype, c.source, c.is_aggregate) for c in expected.columns
-        ] == [(c.name, c.dtype, c.source, c.is_aggregate) for c in actual.columns]
-        assert expected.rows == actual.rows, f"row mismatch for: {sql}"
+    actual = columnar.execute_sql(sql)
+    assert [
+        (c.name, c.dtype, c.source, c.is_aggregate) for c in expected.columns
+    ] == [(c.name, c.dtype, c.source, c.is_aggregate) for c in actual.columns]
+    assert expected.rows == actual.rows, f"row mismatch for: {sql}"
 
 
 @pytest.mark.parametrize("sql", WORKLOAD_QUERIES)
-def test_workload_query_equivalence(interpreted, planned, columnar, sql):
-    """Property: row plans *and* columnar plans are result-identical to the
-    interpreter — including row order — on every query of the paper's
-    workload logs."""
-    assert_equivalent(interpreted, planned, sql, columnar)
+def test_workload_query_equivalence(interpreted, columnar, sql):
+    """Property: columnar plans are result-identical to the interpreter —
+    including row order — on every query of the paper's workload logs."""
+    assert_equivalent(interpreted, columnar, sql)
 
 
 @pytest.mark.parametrize("sql", EXTRA_QUERIES)
-def test_join_and_pushdown_equivalence(interpreted, planned, columnar, sql):
-    assert_equivalent(interpreted, planned, sql, columnar)
+def test_join_and_pushdown_equivalence(interpreted, columnar, sql):
+    assert_equivalent(interpreted, columnar, sql)
 
 
 @settings(max_examples=25, deadline=None)
@@ -179,15 +200,14 @@ def test_sdss_join_equivalence_property(ra_lo, ra_span, dec_lo, dec_span):
     """Hash-join + pushdown plans match the interpreter for arbitrary
     range predicates over the SDSS join (the paper's Listing 5 shape)."""
     interpreted = Executor(CATALOG, enable_cache=False, use_planner=False)
-    planned = Executor(CATALOG, enable_cache=False, use_planner=True, columnar=False)
-    columnar = Executor(CATALOG, enable_cache=False, use_planner=True, columnar=True)
+    columnar = Executor(CATALOG, enable_cache=False, use_planner=True)
     sql = (
         "SELECT DISTINCT gal.objID, gal.u, s.ra, s.dec "
         "FROM galaxy as gal, specObj as s "
         f"WHERE s.bestObjID = gal.objID AND s.ra BETWEEN {ra_lo} AND {ra_lo + ra_span} "
         f"AND s.dec BETWEEN {dec_lo} AND {dec_lo + dec_span}"
     )
-    assert_equivalent(interpreted, planned, sql, columnar)
+    assert_equivalent(interpreted, columnar, sql)
 
 
 #: value pools for the mixed NULL/NaN sweep: join keys and measures drawn
@@ -207,9 +227,10 @@ _MEASURE_POOL = st.one_of(st.none(), st.just(float("nan")), st.integers(-5, 5))
     right=st.lists(st.tuples(_KEY_POOL, _MEASURE_POOL), max_size=12),
 )
 def test_null_nan_equivalence_property(left, right):
-    """All three engines agree — rows and order — over columns mixing NULLs,
+    """Both engines agree — rows and order — over columns mixing NULLs,
     NaNs, ints and floats: the join-key skip rules, NULL-rejecting
-    comparisons and NULL-skipping aggregates must line up exactly."""
+    comparisons, NULL-skipping aggregates and correlated re-runs must line
+    up exactly."""
     from repro.database import Catalog, Column, DataType, Table
 
     catalog = Catalog(
@@ -227,12 +248,7 @@ def test_null_nan_equivalence_property(left, right):
         ]
     )
     interpreted = Executor(catalog, enable_cache=False, use_planner=False)
-    planned = Executor(
-        catalog, enable_cache=False, columnar=False, plan_cache=PlanCache()
-    )
-    columnar = Executor(
-        catalog, enable_cache=False, columnar=True, plan_cache=PlanCache()
-    )
+    columnar = Executor(catalog, enable_cache=False, plan_cache=PlanCache())
     queries = [
         "SELECT lt.v, rt.w FROM lt, rt WHERE lt.k = rt.k",
         "SELECT k, count(*), count(v), sum(v), avg(v), min(v), max(v) "
@@ -241,7 +257,7 @@ def test_null_nan_equivalence_property(left, right):
         "SELECT count(DISTINCT k) FROM lt WHERE k >= 0",
         "SELECT lt.k, rt.w FROM lt, rt WHERE lt.k = rt.k AND rt.w <= 2",
         # outer joins: NULL/NaN keys never match, unmatched preserved rows
-        # come back NULL-padded, and padding order matches the row engine
+        # come back NULL-padded, and padding order matches the interpreter
         "SELECT lt.k, lt.v, rt.w FROM lt LEFT JOIN rt ON lt.k = rt.k",
         "SELECT lt.v, rt.k, rt.w FROM lt RIGHT JOIN rt ON lt.k = rt.k",
         "SELECT lt.k, rt.w FROM lt LEFT JOIN rt ON lt.k = rt.k AND rt.w > 0",
@@ -249,12 +265,13 @@ def test_null_nan_equivalence_property(left, right):
         "SELECT lt.v, rt.w FROM lt JOIN rt ON lt.v > rt.w",
         "SELECT lt.k, rt.w FROM lt LEFT JOIN rt ON lt.v > rt.w",
         "SELECT lt.k, rt.w FROM lt RIGHT JOIN rt ON lt.v < rt.w",
+        # correlated subquery: NULL / NaN outer keys reach the inner filter
+        "SELECT k, v FROM lt WHERE v >= (SELECT max(w) FROM rt WHERE rt.k = lt.k)",
     ]
     for sql in queries:
         expected = interpreted.execute_sql(sql)
-        for engine in (planned, columnar):
-            actual = engine.execute_sql(sql)
-            assert _nansafe(expected.rows) == _nansafe(actual.rows), sql
+        actual = columnar.execute_sql(sql)
+        assert _nansafe(expected.rows) == _nansafe(actual.rows), sql
 
 
 def _nansafe(rows):
@@ -454,12 +471,12 @@ def test_reorder_tie_order_matches_interpreter():
 
 def test_scalar_function_with_stray_distinct_over_aggregate():
     """Regression: round(DISTINCT sum(x)) must not crash the columnar group
-    evaluator — the row engine ignores the stray DISTINCT, so must we."""
+    evaluator — the interpreter ignores the stray DISTINCT, so must we."""
     interpreted = Executor(CATALOG, enable_cache=False, use_planner=False)
     columnar = Executor(CATALOG, enable_cache=False, plan_cache=PlanCache())
     sql = "SELECT origin, round(DISTINCT sum(hp)) FROM Cars GROUP BY origin"
     assert interpreted.execute_sql(sql).rows == columnar.execute_sql(sql).rows
-    assert columnar.stats.columnar_fallbacks == 0
+    assert columnar.stats.columnar_executions == 1
 
 
 def test_reorder_can_be_disabled():
@@ -512,72 +529,19 @@ def test_static_subquery_schema_enables_hash_join():
 
 
 def test_uncorrelated_subquery_predicates_stay_columnar():
-    """Per-stage gating: a self-contained subquery predicate no longer forces
-    the whole plan onto the row engine — it is evaluated once and broadcast."""
-    plan = plan_for(
-        "SELECT total FROM sales WHERE total >= (SELECT max(total) FROM sales)"
-    )
-    assert plan.columnar_ok is True and plan.columnar_reason is None
-    plan = plan_for(
-        "SELECT hour FROM flights WHERE hour IN (SELECT hour FROM flights)"
-    )
-    assert plan.columnar_ok is True
-    plan = plan_for("SELECT hp FROM Cars WHERE mpg > 20")
-    assert plan.columnar_ok is True
-    # FROM subqueries execute separately: they do not disqualify the outer plan
-    plan = plan_for("SELECT hour FROM (SELECT hour FROM flights) sub WHERE hour > 1")
-    assert plan.columnar_ok is True
-
-
-def test_correlated_subqueries_gate_the_plan_with_a_reason():
-    """Correlated subqueries still route to the row engine, and the first
-    unsupported construct is recorded on the plan for observability."""
-    plan = plan_for(
-        "SELECT product, sum(total) FROM sales as ss GROUP BY product "
-        "HAVING sum(total) >= (SELECT max(total) FROM sales as s "
-        "WHERE s.city = ss.city)"
-    )
-    assert plan.columnar_ok is False
-    assert plan.columnar_reason == "correlated subquery in HAVING"
-    plan = plan_for(
-        "SELECT total FROM sales as ss WHERE total >= "
-        "(SELECT max(total) FROM sales as s WHERE s.city = ss.city)"
-    )
-    assert plan.columnar_ok is False
-    assert plan.columnar_reason == "correlated subquery in WHERE"
-    # the sales workload's nested shape: the correlated reference sits inside
-    # a FROM subquery of the HAVING subquery — still detected
-    plan = plan_for(
-        "SELECT city, product, sum(total) FROM sales as ss "
-        "GROUP BY city, product "
-        "HAVING sum(total) >= (SELECT max(t) FROM "
-        "(SELECT sum(total) as t FROM sales as s WHERE s.city = ss.city "
-        "GROUP BY s.city, s.product))"
-    )
-    assert plan.columnar_ok is False
-    assert plan.columnar_reason == "correlated subquery in HAVING"
-
-
-def test_columnar_subqueries_kill_switch_restores_blanket_gate():
-    """columnar_subqueries=False reinstates the all-or-nothing PR-2 gate and
-    is part of the plan identity (the cache may never mix the two)."""
-    sql = "SELECT total FROM sales WHERE total >= (SELECT max(total) FROM sales)"
-    strict = Planner(CATALOG, columnar_subqueries=False).plan(parse(sql))
-    assert strict.columnar_ok is False
-    assert strict.columnar_reason == "subquery in WHERE"
-    cache = PlanCache()
-    relaxed_ex = Executor(CATALOG, enable_cache=False, plan_cache=cache)
-    gated_ex = Executor(
-        CATALOG, enable_cache=False, plan_cache=cache, columnar_subqueries=False
-    )
-    relaxed_ex.execute_sql(sql)
-    gated_ex.execute_sql(sql)
-    # both compiled their own outer and inner plans: the gating flag is part
-    # of the cache key, so relaxed and gated plans never mix
-    assert relaxed_ex.stats.plans_compiled == 2
-    assert gated_ex.stats.plans_compiled == 2
-    assert gated_ex.stats.columnar_plan_gated == 1
-    assert relaxed_ex.stats.columnar_plan_gated == 0
+    """A self-contained subquery is evaluated once and broadcast: one
+    execution for the outer statement and one for the subquery, however many
+    rows the outer scan has."""
+    for sql, executions in (
+        ("SELECT total FROM sales WHERE total >= (SELECT max(total) FROM sales)", 2),
+        ("SELECT hour FROM flights WHERE hour IN (SELECT hour FROM flights)", 2),
+        ("SELECT hp FROM Cars WHERE mpg > 20", 1),
+        # FROM subqueries execute separately, once
+        ("SELECT hour FROM (SELECT hour FROM flights) sub WHERE hour > 1", 2),
+    ):
+        ex = Executor(CATALOG, enable_cache=False, plan_cache=PlanCache())
+        ex.execute_sql(sql)
+        assert ex.stats.columnar_executions == executions, sql
 
 
 def test_every_planner_flag_partitions_the_plan_cache():
@@ -587,7 +551,7 @@ def test_every_planner_flag_partitions_the_plan_cache():
         "SELECT a.total FROM sales as a, sales as b "
         "WHERE a.product = b.product ORDER BY a.total"
     )
-    base = dict(allow_reorder=True, order_insensitive=False, columnar_subqueries=True)
+    base = dict(allow_reorder=True, order_insensitive=False)
     for flag in sorted(base):
         cache = PlanCache()
         flipped = dict(base)
