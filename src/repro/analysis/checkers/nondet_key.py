@@ -21,9 +21,9 @@ fires on those calls in *key contexts*:
 * on the right-hand side of an assignment to a name matching
   ``key``/``*_key``/``fingerprint*``, in any function.
 
-Identity-keyed memo entries that deliberately pin their referents alive
-(e.g. the widget-cover DP tables) are the intended use of the suppression
-pragma: the justification lives next to the ``# repro: allow-...`` line.
+A key that deliberately uses identity must keep its referents alive for as
+long as the key lives; the suppression pragma records that justification
+next to the ``# repro: allow-...`` line.
 """
 
 from __future__ import annotations

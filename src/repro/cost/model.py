@@ -17,12 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from ..difftree.tree import Difftree
 from ..interface.spec import (
     AppliedInteraction,
     AppliedWidget,
     CostBreakdown,
     Interface,
     Mapping,
+    View,
 )
 from ..sqlparser.ast_nodes import Node
 from .fitts import centroid_distance, fitts_time
@@ -50,7 +52,15 @@ class CostModelConfig:
 
 
 class CostModel:
-    """Estimates interface cost for a given input query sequence."""
+    """Estimates interface cost for a given input query sequence.
+
+    Which choice nodes each input query changes, and which view expresses
+    it, depend only on the views' Difftrees, never on the widgets and
+    interactions mapped onto them.  The model derives these facts once per
+    tree and once per view set, keyed by :meth:`Difftree.mapping_key` (tree
+    structure, choice-node ids and queries), and keeps them for its own
+    lifetime: one pipeline run, or one context in a pool worker.
+    """
 
     def __init__(
         self,
@@ -60,19 +70,22 @@ class CostModel:
         self.queries = list(queries)
         self.config = config or CostModelConfig()
         self._query_fps = [q.fingerprint() for q in self.queries]
-        #: per-Difftree cache of ({query fingerprint: per-node binding params},
-        #: ordered choice-node ids); keyed by the tree's structural fingerprint
-        #: plus its choice-node ids, so equivalent trees across candidate
-        #: interfaces share the (expensive) derivation work
-        self._tree_plans: dict[tuple, tuple[dict, list[int]]] = {}
+        #: tree mapping key → {query fingerprint: per-node binding params, or
+        #: None when the tree cannot express the query}; shared by the copies
+        #: of a tree that successive search states carry
+        self._binding_plans: dict[tuple, dict[str, Optional[dict[int, tuple]]]] = {}
+        #: the views' mapping keys → per input query, the index of the view
+        #: expressing it (None: no view can) and the choice-node ids it
+        #: changes, in depth-first order
+        self._skeletons: dict[tuple, list[tuple[Optional[int], tuple[int, ...]]]] = {}
 
-    def _tree_plan(self, tree) -> tuple[dict, list[int]]:
-        """(query fingerprint → per-node params or None, ordered node ids)."""
-        node_ids = [n.node_id for n in tree.choice_nodes()]
-        key = (tree.fingerprint(), tuple(node_ids))
-        if key in self._tree_plans:
-            return self._tree_plans[key]
-        plan: dict[str, Optional[dict[int, tuple]]] = {}
+    def _binding_plan(self, tree: Difftree) -> dict[str, Optional[dict[int, tuple]]]:
+        """Query fingerprint → per-node binding params (None: not expressible)."""
+        key = tree.mapping_key()
+        plan = self._binding_plans.get(key)
+        if plan is not None:
+            return plan
+        plan = {}
         for q, derivation in zip(tree.queries, tree.derivations()):
             fp = q.fingerprint()
             if derivation is None:
@@ -84,8 +97,45 @@ class CostModel:
                     binding.param,
                 )
             plan[fp] = params
-        self._tree_plans[key] = (plan, node_ids)
-        return self._tree_plans[key]
+        self._binding_plans[key] = plan
+        return plan
+
+    def _skeleton(
+        self, views: Sequence[View]
+    ) -> list[tuple[Optional[int], tuple[int, ...]]]:
+        """Per input query: the view expressing it and the choice nodes the
+        user changes, tracking binding state across the sequence."""
+        key = tuple(view.tree.mapping_key() for view in views)
+        skeleton = self._skeletons.get(key)
+        if skeleton is not None:
+            return skeleton
+        plans = [
+            (self._binding_plan(view.tree), view.tree.choice_nodes())
+            for view in views
+        ]
+        # current parameter per choice node (None = untouched default)
+        current: dict[int, tuple] = {}
+        skeleton = []
+        for query_fp in self._query_fps:
+            entry: tuple[Optional[int], tuple[int, ...]] = (None, ())
+            for view_index, (plan, nodes) in enumerate(plans):
+                params = plan.get(query_fp)
+                if params is None:
+                    continue
+                changed = {
+                    node_id
+                    for node_id, value in params.items()
+                    if current.get(node_id) != value
+                }
+                current.update(params)
+                entry = (
+                    view_index,
+                    tuple(n.node_id for n in nodes if n.node_id in changed),
+                )
+                break
+            skeleton.append(entry)
+        self._skeletons[key] = skeleton
+        return skeleton
 
     # -- per-element costs -------------------------------------------------------
 
@@ -119,37 +169,32 @@ class CostModel:
         chart still requires the user to navigate to that chart — this is what
         makes a wall of static charts costlier than one interactive view.
         """
-        # current parameter per choice node (None = untouched default)
-        current: dict[int, tuple] = {}
-        plan: list[tuple[Optional[int], list[Mapping]]] = []
-        view_plans = [self._tree_plan(view.tree) for view in interface.views]
+        mappings, plan = self._manipulated(interface)
+        return [
+            (view_index, [mappings[index] for index in picked])
+            for view_index, picked in plan
+        ]
 
-        for query_fp in self._query_fps:
-            manipulated: list[Mapping] = []
-            view_for_query: Optional[int] = None
-            for view_index, (tree_plan, ordered_nodes) in enumerate(view_plans):
-                params = tree_plan.get(query_fp)
-                if params is None:
-                    continue
-                view_for_query = view_index
-                changed_nodes = {
-                    node_id
-                    for node_id, value in params.items()
-                    if current.get(node_id) != value
-                }
-                current.update(params)
-                seen_mappings: list[Mapping] = []
-                for node_id in ordered_nodes:  # depth-first traversal order
-                    if node_id not in changed_nodes:
-                        continue
-                    mapping = interface.mapping_for(node_id)
-                    if mapping is None or any(mapping is m for m in seen_mappings):
-                        continue
-                    seen_mappings.append(mapping)
-                manipulated.extend(seen_mappings)
-                break
-            plan.append((view_for_query, manipulated))
-        return plan
+    def _manipulated(
+        self, interface: Interface
+    ) -> tuple[list[Mapping], list[tuple[Optional[int], list[int]]]]:
+        """:meth:`query_plan` with each mapping given by its index into the
+        returned ``interface.all_mappings()``."""
+        mappings = interface.all_mappings()
+        # node id → index of the first mapping covering it
+        owner: dict[int, int] = {}
+        for index, mapping in enumerate(mappings):
+            for node_id in mapping.cover:
+                owner.setdefault(node_id, index)
+        plan: list[tuple[Optional[int], list[int]]] = []
+        for view_index, changed in self._skeleton(interface.views):
+            picked: list[int] = []
+            for node_id in changed:  # depth-first traversal order
+                index = owner.get(node_id)
+                if index is not None and index not in picked:
+                    picked.append(index)
+            plan.append((view_index, picked))
+        return mappings, plan
 
     def manipulation_sequence(self, interface: Interface) -> list[list[Mapping]]:
         """Per input query, the mappings the user must manipulate."""
@@ -169,18 +214,19 @@ class CostModel:
         total = 0.0
         uncovered_penalty = 0.0
         if penalize_uncovered:
-            ids = interface.choice_node_ids()
-            covered = interface.covered_choice_node_ids()
+            uncovered = interface.choice_node_ids() - interface.covered_choice_node_ids()
             # an incomplete interface cannot express the queries: penalise hard
-            uncovered_penalty += 50.0 * len(ids - covered)
+            uncovered_penalty += 50.0 * len(uncovered)
 
-        for view_index, manipulated in self.query_plan(interface):
+        mappings, plan = self._manipulated(interface)
+        costs = [self.mapping_cost(mapping) for mapping in mappings]
+        for view_index, picked in plan:
             if view_index is None:
                 # an input query no view can express: the interface fails its
                 # core guarantee, so the penalty dominates any layout savings
                 uncovered_penalty += 50.0
-            for mapping in manipulated:
-                total += self.mapping_cost(mapping)
+            for index in picked:
+                total += costs[index]
         # when there are no interactions at all (static interface), reading
         # several charts still carries a small cost per extra view
         total += 0.2 * max(0, interface.num_views() - 1)

@@ -4,7 +4,8 @@ must express, with cached schema / binding analyses.
 A :class:`Difftree` compactly represents a set of expressible ASTs.  PI2's
 search state is a *list* of Difftrees (each maps to one visualization in the
 generated interface); transformation rules produce new Difftree instances, so
-all derived data (derivations, bindings, schemas) is cached per instance.
+all derived data (choice nodes, fingerprint, derivations, schemas) is cached
+per instance.
 """
 
 from __future__ import annotations
@@ -28,11 +29,22 @@ from .schema import (
 
 
 class Difftree:
-    """A Difftree and the input queries it is responsible for expressing."""
+    """A Difftree and the input queries it is responsible for expressing.
+
+    Invariant: the root is never mutated once a Difftree wraps it.  A rule
+    copies the trees, rewrites the *copied* root in place (``replace_at``)
+    before anything is derived from that copy, and wraps the result in a new
+    Difftree.  Facts derived from the root (choice nodes and their ids, the
+    fingerprint, the mapping key, derivations, schemas) are therefore computed
+    once per instance and live as long as it does;
+    ``tests/test_transform.py`` pins this over every rule on all workloads.
+    """
 
     def __init__(self, root: Node, queries: list[Node]) -> None:
         self.root = root
         self.queries = list(queries)
+        self._choice_nodes: Optional[tuple[ChoiceNode, ...]] = None
+        self._choice_node_ids: Optional[frozenset[int]] = None
         self._derivations: Optional[list[Optional[Derivation]]] = None
         self._result_schema: Optional[ResultSchema] = None
         self._result_schema_computed = False
@@ -45,8 +57,17 @@ class Difftree:
     def copy(self) -> "Difftree":
         return Difftree(self.root.copy(), [q for q in self.queries])
 
-    def choice_nodes(self) -> list[ChoiceNode]:
-        return choice_nodes(self.root)
+    def choice_nodes(self) -> tuple[ChoiceNode, ...]:
+        """The choice nodes in pre-order (cached)."""
+        if self._choice_nodes is None:
+            self._choice_nodes = tuple(choice_nodes(self.root))
+        return self._choice_nodes
+
+    def choice_node_ids(self) -> frozenset[int]:
+        """The ids of :meth:`choice_nodes` (cached)."""
+        if self._choice_node_ids is None:
+            self._choice_node_ids = frozenset(n.node_id for n in self.choice_nodes())
+        return self._choice_node_ids
 
     def dynamic_nodes(self) -> list[Node]:
         return dynamic_nodes(self.root)
@@ -56,8 +77,7 @@ class Difftree:
         return not self.choice_nodes()
 
     def fingerprint(self) -> str:
-        """Canonical structural identity (cached; the root is never mutated
-        in place — transformations always build new Difftree instances)."""
+        """Canonical structural identity (cached)."""
         if self._fingerprint is None:
             self._fingerprint = self.root.fingerprint()
         return self._fingerprint

@@ -175,8 +175,7 @@ class InterfaceRuntime:
         ids = {n.node_id for n in choice_nodes}
         affected = []
         for i, view in enumerate(self.interface.views):
-            view_ids = {n.node_id for n in view.tree.choice_nodes()}
-            if view_ids & ids:
+            if not view.tree.choice_node_ids().isdisjoint(ids):
                 affected.append(i)
         return affected
 

@@ -98,11 +98,7 @@ class Interface:
         return [*self.widgets, *self.interactions]
 
     def choice_node_ids(self) -> frozenset[int]:
-        ids: set[int] = set()
-        for view in self.views:
-            for node in view.tree.choice_nodes():
-                ids.add(node.node_id)
-        return frozenset(ids)
+        return frozenset().union(*(view.tree.choice_node_ids() for view in self.views))
 
     def covered_choice_node_ids(self) -> frozenset[int]:
         covered: set[int] = set()
@@ -112,17 +108,12 @@ class Interface:
 
     def is_complete(self) -> bool:
         """Every choice node must be covered by exactly one mapping."""
-        ids = self.choice_node_ids()
-        covered = self.covered_choice_node_ids()
-        if ids - covered:
-            return False
-        # exact cover: no choice node bound twice
         seen: set[int] = set()
         for mapping in self.all_mappings():
-            if seen & mapping.cover:
-                return False
+            if not seen.isdisjoint(mapping.cover):
+                return False  # a choice node bound twice
             seen.update(mapping.cover)
-        return True
+        return self.choice_node_ids() <= seen
 
     def mapping_for(self, node_id: int) -> Optional[Mapping]:
         for mapping in self.all_mappings():

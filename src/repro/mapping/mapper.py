@@ -157,14 +157,10 @@ class InterfaceMapper:
         vis_options = self._vis_options(trees)
         wcand_by_node, universe, clist = self._widget_candidates(trees)
 
-        # dynamic programming tables shared across V combinations — and, via
-        # the fragment memo, across generate() calls on identical tree sets:
-        # the F/G tables are keyed by the exact (clist, wcand) identity, so
-        # the final Algorithm-1 phase is incremental too
+        # dynamic programming tables shared across V combinations
         dp = _WidgetCoverDP(
             wcand_by_node, clist, self.cost_model, self.config.top_k, self.stats
         )
-        self._memoize_widget_cover(dp, wcand_by_node, clist)
 
         heap: list[tuple[float, int, Interface]] = []  # max-heap via negated cost
         counter = itertools.count()
@@ -320,52 +316,6 @@ class InterfaceMapper:
         self._memo_store(key, value)
         return value
 
-    def _memoize_widget_cover(
-        self,
-        dp: "_WidgetCoverDP",
-        wcand: dict[int, list[tuple[int, WidgetCandidate]]],
-        clist: list[int],
-    ) -> None:
-        """Share the widget-cover F/G tables across ``generate()`` calls.
-
-        Keyed by the *identity* of (clist, wcand): the candidate objects come
-        out of the fragment memo, so two calls over id-identical trees hand
-        the DP the very same :class:`WidgetCandidate` instances — and cover
-        costs depend only on those candidates and the cost model.  On a hit
-        the DP adopts the cached tables (still mutable: later calls keep
-        extending them in place, so the memo entry grows incrementally); the
-        cached value pins the candidate lists and the cost model alive, which
-        keeps the ``id()``-based key components stable for the entry's
-        lifetime.
-
-        The adopted tables are mutable and extended without a lock: like the
-        mapper's stats counters, ``generate()`` is a single-caller API (the
-        pipeline's final phase), and the key embeds the cost model's
-        identity, so two concurrently-built pipelines can never adopt the
-        same entry.
-        """
-        if self.memo is None:
-            return
-        key = (
-            "wcover",
-            tuple(clist),
-            tuple(
-                # identity key by design: the memo value pins cands and the
-                # cost model alive (see docstring)
-                # repro: allow-nondeterministic-key -- identity key by design
-                (cid, tuple((t_idx, id(cand)) for t_idx, cand in cands))
-                for cid, cands in sorted(wcand.items())
-            ),
-            id(self.cost_model),  # repro: allow-nondeterministic-key -- pinned above
-            self.config.top_k,
-        )
-        hit, value = self._memo_lookup(key)
-        if hit:
-            _pinned_wcand, _pinned_cost_model, f_tables, g_tables = value
-            dp.adopt_tables(f_tables, g_tables)
-        else:
-            self._memo_store(key, (wcand, self.cost_model, dp._f, dp._g))
-
     def _joint_vis(
         self, vis_options: list[list[VisMapping]]
     ) -> list[tuple[VisMapping, ...]]:
@@ -441,13 +391,13 @@ class InterfaceMapper:
         cost_model = self.cost_model
         kth_cost = lambda: (-heap[0][0]) if len(heap) >= config.top_k else float("inf")
         call_budget = [config.max_searchm_calls]
-        cm_cache: dict[frozenset[int], float] = {}
+        cm_cache: dict[frozenset, float] = {}
 
         def current_cm(interactions: list[InteractionCandidate]) -> float:
-            # the cache is local to this _search_m call and the candidate
-            # objects outlive every entry, so identity keys cannot go stale
-            # repro: allow-nondeterministic-key -- call-local identity cache
-            key = frozenset(id(c) for c in interactions)
+            # the cost model sees an interaction only through its cost and its
+            # cover, and covers along a path are disjoint, so these pairs
+            # price the prefix whichever path reached it
+            key = frozenset((c.cost, c.cover) for c in interactions)
             if key in cm_cache:
                 return cm_cache[key]
             interface = Interface(
@@ -483,6 +433,8 @@ class InterfaceMapper:
                 return
 
             if i == len(clist):
+                # complete by construction: F returns exact covers of the
+                # nodes the pairwise-disjoint interactions left uncovered
                 uncovered = frozenset(cid for cid in clist if cid not in covered)
                 for cover_cost, cover in dp.F(uncovered):
                     widgets = [
@@ -493,8 +445,6 @@ class InterfaceMapper:
                         widgets=widgets,
                         interactions=[AppliedInteraction(c) for c in interactions],
                     )
-                    if not interface.is_complete():
-                        continue
                     cm = cost_model.manipulation_cost(interface)
                     if cm < kth_cost():
                         push(interface, cm)
@@ -665,15 +615,6 @@ class _WidgetCoverDP:
         self.stats = stats
         self._g: dict[frozenset[int], float] = {}
         self._f: dict[frozenset[int], list[tuple[float, list[tuple[int, WidgetCandidate]]]]] = {}
-
-    def adopt_tables(
-        self,
-        f_tables: dict[frozenset[int], list],
-        g_tables: dict[frozenset[int], float],
-    ) -> None:
-        """Continue from memoized F/G tables (see ``_memoize_widget_cover``)."""
-        self._f = f_tables
-        self._g = g_tables
 
     def _first(self, nodes: frozenset[int]) -> int:
         return min(nodes, key=lambda cid: self.order.get(cid, 1 << 30))

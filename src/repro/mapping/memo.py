@@ -33,8 +33,7 @@ LRU-bounded per catalogue, and guarded by one lock so parallel search workers
 can share a single memo.  The ``unlocked-shared-mutation`` rule of
 ``repro.analysis`` statically requires every mutation of the bookkeeping to
 hold that lock; the ``nondeterministic-key`` rule polices what may appear in
-``tree_key`` (the sanctioned identity-keyed widget-cover entries carry
-justified ``# repro: allow-…`` pragmas in ``mapper.py``).
+``tree_key``.
 """
 
 from __future__ import annotations
@@ -115,10 +114,8 @@ class MappingMemo:
 
     #: fragment kinds safe to persist across processes: their keys are built
     #: from structural fingerprints + node ids that travel with the trees.
-    #: Identity-keyed entries (the sanctioned ``id(widget)``-keyed
-    #: widget-cover kinds in ``mapper.py``) are process-local by construction
-    #: — a recycled ``id()`` in another process would alias garbage — and are
-    #: therefore never exported.
+    #: These are all the kinds the mapper stores; any other key (e.g. one
+    #: smuggled into a tampered cache file) is neither exported nor imported.
     PERSISTABLE_KINDS = frozenset({"schema", "vis", "widgets", "targets", "ipair"})
 
     def export_entries(self, catalog: "Catalog") -> list[tuple]:

@@ -172,6 +172,29 @@ def test_incomplete_interface_heavily_penalised(explore_interface):
     assert model.manipulation_cost(stripped, penalize_uncovered=False) < 50.0
 
 
+def test_binding_plans_follow_each_trees_own_queries(section2_asts):
+    """The split rule can build two trees with the same root and choice-node
+    ids but different query lists; each keeps a binding plan of its own
+    queries, and each query is expressed by a view whose tree owns it."""
+    from repro.difftree import Difftree, initial_difftrees, merge_difftrees
+    from repro.interface.spec import Interface, View
+
+    merged = merge_difftrees(initial_difftrees(section2_asts))
+    wide = Difftree(merged.root.copy(), section2_asts)
+    narrow = Difftree(merged.root.copy(), section2_asts[2:])
+    assert wide.fingerprint() == narrow.fingerprint()
+    assert wide.choice_nodes() and wide.choice_node_ids() == narrow.choice_node_ids()
+
+    model = CostModel(section2_asts)
+    fps = [q.fingerprint() for q in section2_asts]
+    assert set(model._binding_plan(wide)) == set(fps)
+    assert set(model._binding_plan(narrow)) == {fps[2]}
+    # vis mappings play no part in which view expresses a query
+    views = [View(narrow, None), View(wide, None)]
+    plan = model.query_plan(Interface(views=views))
+    assert [view_index for view_index, _ in plan] == [1, 1, 0]
+
+
 def test_interface_quality_metric():
     assert interface_quality(10.0, 10.0) == 1.0
     assert interface_quality(20.0, 10.0) == 0.5

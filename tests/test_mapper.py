@@ -150,3 +150,60 @@ def test_mapper_without_executor_falls_back_to_tables(catalog, make_mapper):
     )
     best = mapper.best_interface(initial_difftrees(queries))
     assert best.views[0].vis.vis_type.name == "table"
+
+
+def test_searchm_leaves_are_complete_by_construction(
+    catalog, executor, make_mapper, monkeypatch
+):
+    """searchM prices its leaves without an ``is_complete()`` filter: ``F``
+    returns exact widget covers of the choice nodes that the pairwise
+    disjoint interactions leave uncovered.  Check every leaf searchM prices
+    on the initial, merged and refactored states of every log, and on a few
+    states one rule application away from the refactored one."""
+    from repro.cost.model import CostModel
+    from repro.workloads import WORKLOADS
+
+    leaves: list[tuple[bool, int, int]] = []
+    searching = [False]
+    manipulation_cost = CostModel.manipulation_cost
+    search_m = InterfaceMapper._search_m
+
+    def recording_cost(self, interface, penalize_uncovered=True):
+        if searching[0] and penalize_uncovered:
+            leaves.append(
+                (
+                    interface.is_complete(),
+                    len(interface.widgets),
+                    len(interface.interactions),
+                )
+            )
+        return manipulation_cost(self, interface, penalize_uncovered)
+
+    def flagged_search(self, *args):
+        searching[0] = True
+        try:
+            return search_m(self, *args)
+        finally:
+            searching[0] = False
+
+    monkeypatch.setattr(CostModel, "manipulation_cost", recording_cost)
+    monkeypatch.setattr(InterfaceMapper, "_search_m", flagged_search)
+    engine = TransformEngine(catalog, executor)
+    for workload in sorted(WORKLOADS):
+        queries = list(WORKLOADS[workload].queries)
+        initial = initial_difftrees(queries)
+        merged = [merge_difftrees(initial)]
+        refactored = engine.refactor_to_fixpoint(merged)
+        states = [initial, merged, refactored]
+        for app in engine.applications(refactored, random.Random(0)):
+            if len(states) == 8:
+                break
+            neighbour = engine.apply(app)
+            if neighbour is not None:
+                states.append(neighbour)
+        mapper = make_mapper(queries)
+        for trees in states:
+            mapper.generate(trees)
+    assert all(complete for complete, _, _ in leaves)
+    # the leaves include mixed covers: several widgets next to interactions
+    assert sum(1 for _, w, i in leaves if w >= 2 and i >= 1) > 50

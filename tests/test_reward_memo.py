@@ -145,76 +145,6 @@ def test_one_tree_delta_recomputes_only_that_tree():
     assert memo.hits > 0
 
 
-# -- widget-cover DP memoization ----------------------------------------------
-
-
-def test_widget_cover_dp_tables_are_reused_across_generate_calls():
-    """Repeated generate() over id-identical trees adopts the cached F/G
-    tables (the final Algorithm-1 phase is incremental too)."""
-    import json as _json
-
-    catalog = standard_catalog(seed=7, scale=0.12)
-    executor = Executor(catalog)
-    memo = MappingMemo()
-    trees, mapper = _two_tree_mapper(catalog, executor, memo)
-
-    first = mapper.generate(trees)
-    states_first = mapper.stats.widget_cover_states
-    assert any(key[0] == "wcover" for key in memo._by_catalog[catalog])
-
-    second = mapper.generate(trees)
-    # the DP adopted the cached tables: no G state recomputed from scratch
-    assert mapper.stats.widget_cover_states == states_first
-    sig = lambda interfaces: [
-        _json.dumps(i.to_dict(), sort_keys=True, default=str) for i in interfaces
-    ]
-    assert sig(first) == sig(second)
-
-    # a memo-disabled mapper recomputes the tables but agrees byte-for-byte
-    _, plain_mapper = _two_tree_mapper(catalog, executor, memo=None)
-    plain_mapper.config.memoize = False
-    plain_mapper.memo = None
-    third = plain_mapper.generate(trees)
-    assert plain_mapper.stats.widget_cover_states == states_first
-    assert sig(first) == sig(third)
-
-
-def test_widget_cover_memo_entry_pins_its_identity_referents():
-    """Regression for the `nondeterministic-key` pragma in
-    InterfaceMapper._memoize_widget_cover: the id()-based memo entry is only
-    sound because the cached value strongly references the candidate lists
-    and the cost model, so their ids cannot be recycled while the entry
-    lives.  Pin that structural guarantee."""
-    from repro.difftree import merge_difftrees
-
-    catalog = standard_catalog(seed=7, scale=0.12)
-    executor = Executor(catalog)
-    memo = MappingMemo()
-    trees, mapper = _two_tree_mapper(catalog, executor, memo)
-    # merge the two T queries into one tree with choice nodes so the cover
-    # DP has real widget candidates to key by identity
-    trees = [merge_difftrees(trees[:2]), trees[2]]
-    mapper.generate(trees)
-
-    entries = [
-        value
-        for entry_key, value in memo._by_catalog[catalog].items()
-        if entry_key[0] == "wcover"
-    ]
-    assert entries, "generate() stored no widget-cover entry"
-    for wcand, cost_model, f_tables, g_tables in entries:
-        assert cost_model is mapper.cost_model
-        cand_ids = {
-            id(cand)
-            for cands in wcand.values()
-            for _t_idx, cand in cands
-        }
-        # every id() embedded in the entry's key resolves to an object the
-        # entry itself keeps alive
-        assert isinstance(f_tables, dict) and isinstance(g_tables, dict)
-        assert cand_ids, "entry pinned no candidates"
-
-
 # -- reward-cache seeding on adopt ---------------------------------------------
 
 

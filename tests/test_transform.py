@@ -6,10 +6,12 @@ import pytest
 
 from repro.difftree import initial_difftrees, merge_difftrees, split_difftree
 from repro.difftree.builder import cluster_by_result_schema, parse_queries
-from repro.difftree.nodes import AnyNode, MultiNode, SubsetNode, ValNode
+from repro.difftree.nodes import AnyNode, MultiNode, SubsetNode, ValNode, choice_nodes
 from repro.sqlparser import parse, to_sql
 from repro.sqlparser.ast_nodes import L
+from repro.workloads import WORKLOADS
 from repro.transform import (
+    DEFAULT_RULES,
     AnyToMultiRule,
     AnyToSubsetRule,
     AnyToValRule,
@@ -339,3 +341,59 @@ def test_cluster_by_result_schema_strict_vs_loose(executor):
     loose = cluster_by_result_schema(trees, executor, strict=False)
     assert len(strict) == 2
     assert len(loose) == 1
+
+
+# -- Difftree cache lifetime --------------------------------------------------
+
+
+def _states_around(engine, queries):
+    """A log's initial state, its merged state (and a merge of one query
+    with itself, which the Noop rule simplifies), every state refactoring
+    passes through, and every state one rule application away from those."""
+    initial = initial_difftrees(parse_queries(list(queries)))
+    merged = [merge_difftrees(initial)]
+    states = [initial, merged, [merge_difftrees([initial[0], initial[0]])]]
+    refactor_apply = engine.apply
+
+    def recording_apply(application, verify=True):
+        new_trees = refactor_apply(application, verify)
+        if new_trees is not None:
+            states.append(new_trees)
+        return new_trees
+
+    engine.apply = recording_apply
+    engine.refactor_to_fixpoint(merged)
+    return states + [
+        app.apply()
+        for trees in states
+        for rule in DEFAULT_RULES
+        for app in rule.applications(trees, engine.ctx)
+    ]
+
+
+def test_rules_never_mutate_source_trees(catalog, executor):
+    """A Difftree derives its choice nodes and fingerprint once and keeps
+    them (see the Difftree docstring).  That is sound only if no rule
+    mutates the trees it was enumerated on: on the states around every log,
+    fill the caches, apply every application of every rule once, then check
+    each source tree's cached facts against a fresh walk of its root."""
+    fired = set()
+    for workload in sorted(WORKLOADS):
+        engine = TransformEngine(catalog, executor)
+        states = _states_around(engine, WORKLOADS[workload].queries)
+        for trees in states:
+            for tree in trees:
+                tree.mapping_key()
+                tree.choice_node_ids()
+        for trees in states:
+            for rule in DEFAULT_RULES:
+                for app in rule.applications(trees, engine.ctx):
+                    app.apply()
+                    fired.add(rule.name)
+        for trees in states:
+            for tree in trees:
+                fresh = choice_nodes(tree.root)
+                assert [id(n) for n in tree.choice_nodes()] == [id(n) for n in fresh]
+                assert tree.choice_node_ids() == {n.node_id for n in fresh}
+                assert tree.fingerprint() == tree.root.fingerprint()
+    assert fired == {rule.name for rule in DEFAULT_RULES}
