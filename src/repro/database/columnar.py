@@ -18,12 +18,12 @@ propagation, LIKE, NaN join keys) are delegated to
 interpreter.  LEFT / RIGHT hash joins pad unmatched preserved rows with typed
 NULL columns after the residual filter, and non-equi ON conditions run
 through a block-wise vectorized nested-loop join — both reproduce the
-interpreter's emission order exactly.  Scalar and IN subqueries that the
-planner proves self-contained are executed once through the owning executor
-and broadcast as constants / membership sets; a correlated one is re-run once
-per row of its stage (per group's first row under grouping) through the
-interpreter's own expression evaluator, with that row as its outer scope.  An
-aggregate outside a grouping stage treats each row as a one-row group, as the
+interpreter's emission order exactly.  A scalar or IN subquery with no outer
+references is executed once through the owning executor and broadcast; a
+correlated scalar one runs once per distinct binding of its outer references
+(per group's first row under grouping) through the interpreter's own
+expression evaluator, and a correlated IN one once per row.  An aggregate
+outside a grouping stage treats each row as a one-row group, as the
 interpreter does.
 """
 
@@ -651,7 +651,7 @@ class ColumnarEngine:
         if label == L.IN_QUERY:
             values = self._eval_per_group(expr.children[0], crel, groups, env, memo)
             sub = expr.children[1]
-            if self.ex.planner._self_contained(sub):
+            if self.ex.planner.outer_refs(sub) == frozenset():
                 members = [self._members(sub, env)] * len(groups)
             else:
                 # correlated: one run per group, scoped on its first row
@@ -720,6 +720,37 @@ class ColumnarEngine:
         result = self.ex.execute(sub, env, _nested=True)
         return {row[0] for row in result.rows} if result.columns else set()
 
+    def _per_binding(
+        self, node: Node, refs: frozenset, crel: ColumnarRelation, env: Optional[Environment]
+    ) -> list:
+        """A correlated scalar subquery's value per row, run once per distinct
+        binding of its outer references ``refs`` (Hellerstein & Naughton,
+        SIGMOD 1996), scoped on the binding's first row.
+
+        Keys are ``(type, repr)`` per value, so ``1`` / ``1.0`` / ``True`` and
+        ``0.0`` / ``-0.0`` never share a run; a NaN binding is never shared,
+        since membership tests tell NaN objects apart.  A name that resolves
+        nowhere reads the same for every row, so it is left out of the key.
+        """
+        n = crel.nrows
+        bound = [_lookup(name, crel, env) for name in refs]
+        vecs = [_broadcast(b, n) for b in bound if b is not None]
+        relation = Relation(columns=crel.columns)
+        cols = [crel.cols[c] for c in range(len(crel.columns))]
+        runs: dict = {}
+        out = []
+        for i, binding in enumerate(zip(*vecs) if vecs else [()] * n):
+            key = tuple((type(v), repr(v)) for v in binding)
+            if key in runs:
+                out.append(runs[key])
+                continue
+            row = Environment(relation, tuple(col[i] for col in cols), parent=env)
+            value = self.ex._eval_expr(node, row)
+            if all(v == v for v in binding):
+                runs[key] = value
+            out.append(value)
+        return out
+
     # -- vectorized expression evaluation -------------------------------------
 
     def _eval(
@@ -742,18 +773,10 @@ class ColumnarEngine:
         if label == L.STAR:
             return (_SCALAR, 1)  # count(*) argument
         if label == L.COLUMN:
-            name = str(node.value)
-            qualifier, bare = None, name
-            if "." in name:
-                qualifier, bare = name.split(".", 1)
-            idx = crel.find(bare, qualifier)
-            if idx is not None:
-                return (_VECTOR, crel.cols[idx])
-            if env is not None:
-                found, value = env.lookup(name)
-                if found:
-                    return (_SCALAR, value)
-            raise ExecutionError(f"unknown column {node.value!r}")
+            found = _lookup(str(node.value), crel, env)
+            if found is None:
+                raise ExecutionError(f"unknown column {node.value!r}")
+            return found
         if label == L.NEG:
             tag, val = self._eval(node.children[0], crel, env)
             if tag is _SCALAR:
@@ -815,9 +838,12 @@ class ColumnarEngine:
             return self._eval_case(node, crel, env)
         if label == L.SUBQUERY or label == L.IN_QUERY:
             sub = node if label == L.SUBQUERY else node.children[1]
-            if not self.ex.planner._self_contained(sub):
-                # correlated: re-run per row through the interpreter's own
-                # evaluator, each run scoped on that row
+            refs = self.ex.planner.outer_refs(sub)
+            if refs and label == L.SUBQUERY:
+                return (_VECTOR, self._per_binding(node, refs, crel, env))
+            if refs is None or refs:
+                # correlated IN, or a scope the planner cannot derive: re-run
+                # per row through the interpreter's evaluator, scoped on it
                 return (
                     _VECTOR,
                     [self.ex._eval_expr(node, e) for e in _row_envs(crel, env)],
@@ -972,6 +998,18 @@ def _row_envs(
     return [Environment(relation, row, parent=env) for row in rows]
 
 
+def _lookup(
+    name: str, crel: ColumnarRelation, env: Optional[Environment]
+) -> Optional[tuple]:
+    """A column as a row's :class:`Environment` resolves it, or ``None``."""
+    qualifier, bare = name.split(".", 1) if "." in name else (None, name)
+    idx = crel.find(bare, qualifier)
+    if idx is not None:
+        return (_VECTOR, crel.cols[idx])
+    found, value = env.lookup(name) if env is not None else (False, None)
+    return (_SCALAR, value) if found else None
+
+
 def _key_is_null(key, multi: bool) -> bool:
     """True when a join key contains a NULL or NaN component."""
     if multi:
@@ -979,20 +1017,32 @@ def _key_is_null(key, multi: bool) -> bool:
     return is_null_key(key)
 
 
+#: per scalar type, the exact element types ``=`` / ``<>`` need not coerce
+_NUMBERS = frozenset({int, float, type(None)})
+_EQ_KINDS = {str: frozenset({str, type(None)}), int: _NUMBERS, float: _NUMBERS}
+
+
 def _compare_vector_scalar(op: str, values: list, scalar: object) -> list[bool]:
-    """``[compare_values(op, v, scalar) for v in values]`` with a fast path.
+    """``[compare_values(op, v, scalar) for v in values]`` with fast paths.
 
     For ordering comparisons against a non-bool numeric scalar,
     ``coerce_pair`` is the identity on numeric and bool vector elements, so
     the comparison collapses to a raw operator inside one comprehension.  A
     string element (which the slow path would coerce to float) raises
     ``TypeError`` and we redo the whole vector through
-    :func:`compare_values`, keeping semantics identical.  Equality gets no
-    fast path: ``"3.0" == 3`` is silently False raw but True after coercion,
-    so only ``compare_values`` is safe there.
+    :func:`compare_values`, keeping semantics identical.  ``"3.0" == 3`` is
+    silently False raw but True after coercion, so equality takes its fast
+    path only when every element is NULL or of the scalar's kind (``str``,
+    or non-bool ``int`` / ``float``), where ``coerce_pair`` is the identity.
     """
     if scalar is None:
         return [False] * len(values)
+    if op in ("=", "<>", "!="):
+        kinds = _EQ_KINDS.get(type(scalar))
+        if kinds is not None and set(map(type, values)) <= kinds:
+            if op == "=":
+                return [v is not None and v == scalar for v in values]
+            return [v is not None and v != scalar for v in values]
     if (
         op in (">", "<", ">=", "<=")
         and isinstance(scalar, (int, float))

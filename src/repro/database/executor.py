@@ -17,14 +17,15 @@ Compiled plans are cached by AST fingerprint in a **process-wide** cache
 ``Executor`` over the same catalogue, so the many executors the pipeline,
 interface runtime and benchmarks build over one catalogue compile each
 distinct query exactly once — and correlated subqueries re-executed per
-outer row plan once.
+outer binding plan once.
 
 The original AST interpreter is retained behind ``use_planner=False`` and
 serves as the equivalence oracle: planned execution must produce identical
 ``ResultTable``s (columns, types, sources, and row order) for every supported
-query.  The columnar engine runs every planned statement: self-contained
-subqueries evaluate once and broadcast, and correlated ones re-run per row
-through this module's own expression evaluator.  Supported SQL surface:
+query.  The columnar engine runs every planned statement: a subquery without
+outer references evaluates once, and a correlated one once per distinct outer
+binding (IN: per row) through this module's own expression evaluator.
+Supported SQL surface:
 
 * projections with expressions, aliases, ``DISTINCT``, ``*``
 * comma joins, explicit ``JOIN ... ON`` (inner / left / right), subqueries

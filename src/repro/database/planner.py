@@ -31,9 +31,10 @@ unknown schemas, non-equi join conditions, dtype combinations whose equality
 semantics rely on the executor's value coercion) falls back to the
 cross-join + filter strategy of the original interpreter, so planned
 execution is result-identical — including row order — to interpreting the
-AST node by node.  The planner's :meth:`Planner._self_contained` proof also
-tells the columnar engine which expression subqueries it may evaluate once
-and broadcast instead of re-running per row.
+AST node by node.  The planner's :meth:`Planner.outer_refs` scope analysis
+also tells the columnar engine which outer columns an expression subquery
+reads, so the engine runs it once per distinct binding of them — once in all
+when there are none.
 """
 
 from __future__ import annotations
@@ -408,50 +409,48 @@ class Planner:
 
     # -- subquery correlation -------------------------------------------------
 
-    def _self_contained(self, stmt: Node, outer_scopes: tuple = ()) -> bool:
-        """True when executing ``stmt`` can never consult an outer row.
+    def outer_refs(self, stmt: Node, outer_scopes: tuple = ()) -> Optional[frozenset]:
+        """The column names ``stmt`` reads from enclosing scopes.
 
-        Verifies that every column reference — in the statement's own
+        Collects every column reference — in the statement's own
         expressions, in its expression subqueries (checked recursively with
-        the scope chain extended), and in its FROM subqueries (checked
-        against ``outer_scopes`` only: a FROM subquery executes *before* the
-        statement's relation exists) — resolves somewhere inside the
-        statement's own scope chain.  Anything unanalyzable (unknown tables,
-        FROM subqueries without a derivable schema, select-alias references)
-        conservatively reports ``False``.  The columnar engine evaluates a
-        self-contained expression subquery once and broadcasts it, and
-        re-runs any other one per row of its stage.
+        the scope chain extended), and in its FROM subqueries and LIMIT
+        (checked against ``outer_scopes`` only: they run without the
+        statement's relation) — that resolves nowhere inside the statement's
+        own scope chain.  An empty set means the statement never consults an
+        outer row; ``None`` means the scope cannot be derived (unknown table,
+        FROM subquery without a static schema).  The columnar engine runs an
+        expression subquery once per distinct binding of these names.
         """
         if stmt.label == L.SUBQUERY:
             stmt = stmt.children[0]
         scope = self._stmt_scope(stmt)
         if scope is None:
-            return False
+            return None
         bare, qualified, from_substmts = scope
         scopes = ((bare, qualified), *outer_scopes)
-        for sub in from_substmts:
-            if not self._self_contained(sub, outer_scopes):
-                return False
-        clauses = {c.label: c for c in stmt.children}
-        stack: list[Node] = []
-        for label, clause in clauses.items():
-            if label == L.FROM_CLAUSE:
+        refs: set = set()
+        stack: list[tuple[Node, tuple]] = [(sub, outer_scopes) for sub in from_substmts]
+        for clause in stmt.children:
+            if clause.label == L.FROM_CLAUSE:
                 # table refs were consumed by _stmt_scope; only the JOIN ON
                 # conditions carry expressions to check at this scope level
-                stack.extend(_iter_join_conditions(clause))
+                stack.extend((on, scopes) for on in _iter_join_conditions(clause))
             else:
-                stack.append(clause)
+                limit = clause.label == L.LIMIT_CLAUSE
+                stack.append((clause, outer_scopes if limit else scopes))
         while stack:
-            n = stack.pop()
-            if n.label == L.SUBQUERY:
-                if not self._self_contained(n.children[0], scopes):
-                    return False
+            n, visible = stack.pop()
+            if n.label in (L.SUBQUERY, L.SELECT_STMT):
+                inner = self.outer_refs(n, visible)
+                if inner is None:
+                    return None
+                refs |= inner
                 continue
-            if n.label == L.COLUMN:
-                if not _scopes_resolve(scopes, str(n.value)):
-                    return False
-            stack.extend(n.children)
-        return True
+            if n.label == L.COLUMN and not _scopes_resolve(visible, str(n.value)):
+                refs.add(str(n.value))
+            stack.extend((c, visible) for c in n.children)
+        return frozenset(refs)
 
     def _stmt_scope(
         self, stmt: Node

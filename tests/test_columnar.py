@@ -1,6 +1,8 @@
 """Columnar storage, vectorized execution, and the shared plan cache."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.database import (
     Catalog,
@@ -12,7 +14,10 @@ from repro.database import (
     Table,
     standard_catalog,
 )
+from repro.database.columnar import _compare_vector_scalar
 from repro.database.table import ResultColumn, ResultTable
+from repro.database.values import COMPARISON_OPS, compare_values
+from repro.sqlparser import parse
 
 CATALOG = standard_catalog(seed=7, scale=0.12)
 
@@ -173,19 +178,21 @@ def test_uncorrelated_subquery_predicates_run_columnar():
 
 def test_correlated_subquery_runs_columnar():
     """A correlated subquery keeps its statement on the columnar engine: the
-    outer statement runs vectorized and the subquery re-runs once per row of
-    its stage — once per group's first row under HAVING — each run columnar
-    too."""
+    outer statement runs vectorized and a scalar subquery runs once per
+    distinct binding of its outer references — ``ss.city`` here — each run
+    columnar too.  Scopes the planner cannot derive and correlated IN
+    subqueries keep one run per row of their stage."""
     interp, col = make_pair()
+    cities = len(interp.execute_sql("SELECT DISTINCT city FROM sales").rows)
     sql = (
         "SELECT total FROM sales as ss WHERE total >= "
         "(SELECT max(total) FROM sales as s WHERE s.city = ss.city)"
     )
     assert interp.execute_sql(sql).rows == col.execute_sql(sql).rows
-    assert col.stats.columnar_executions == 1 + len(CATALOG.table("sales"))
+    assert col.stats.columnar_executions == 1 + cities
 
     # the Sales log's shape: the HAVING subquery and its FROM subquery run
-    # once per (city, product) group
+    # once per city, not once per (city, product) group
     interp, col = make_pair()
     sql = (
         "SELECT city, product, sum(total) FROM sales as ss "
@@ -194,8 +201,28 @@ def test_correlated_subquery_runs_columnar():
         "GROUP BY s.city, s.product))"
     )
     assert interp.execute_sql(sql).rows == col.execute_sql(sql).rows
-    groups = len(interp.execute_sql("SELECT DISTINCT city, product FROM sales").rows)
-    assert col.stats.columnar_executions == 1 + 2 * groups
+    assert col.stats.columnar_executions == 1 + 2 * cities
+
+    # a computed item leaves the FROM subquery without a static schema, so
+    # the outer references cannot be derived: one run per row
+    interp, col = make_pair()
+    sub = (
+        "SELECT max(x) FROM (SELECT total * 1 as x, city FROM sales) as s "
+        "WHERE s.city = ss.city"
+    )
+    assert col.planner.outer_refs(parse(sub)) is None
+    sql = f"SELECT total FROM sales as ss WHERE total >= ({sub})"
+    assert interp.execute_sql(sql).rows == col.execute_sql(sql).rows
+    assert col.stats.columnar_executions == 1 + 2 * len(CATALOG.table("sales"))
+
+    # a correlated IN subquery: one membership set per row
+    interp, col = make_pair()
+    sql = (
+        "SELECT total FROM sales as ss WHERE total IN "
+        "(SELECT max(total) FROM sales as s WHERE s.city = ss.city)"
+    )
+    assert interp.execute_sql(sql).rows == col.execute_sql(sql).rows
+    assert col.stats.columnar_executions == 1 + len(CATALOG.table("sales"))
 
 
 def test_workload_sweep_has_zero_columnar_fallbacks():
@@ -249,6 +276,37 @@ def test_columnar_results_are_snapshots_of_base_storage():
     t.insert((3,))
     assert result.values("a") == [1, 2]
     assert result.rows == [(1,), (2,)]
+
+
+#: comparison operands: strings that coerce to numbers and ones that do not,
+#: ints, floats with NaN and a signed zero, bools and NULL
+_OPERANDS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.sampled_from([0.0, -0.0, 1.0, 3.0, 2.5, float("nan")]),
+    st.sampled_from(["3.0", "3", "1", "abc", ""]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    op=st.sampled_from(sorted(COMPARISON_OPS)),
+    values=st.lists(_OPERANDS, max_size=8),
+    scalar=_OPERANDS,
+)
+@example(op="=", values=["3.0", 3, None], scalar=3)
+@example(op="<>", values=["abc", 1.0], scalar="1")
+def test_compare_vector_scalar_matches_compare_values(op, values, scalar):
+    """The vector fast paths agree with the scalar comparison, coercion,
+    NULL rejection and all: a vector that mixes kinds must still coerce."""
+    try:
+        expected = [compare_values(op, v, scalar) for v in values]
+    except TypeError:  # unorderable operands fail the same way on both paths
+        with pytest.raises(TypeError):
+            _compare_vector_scalar(op, values, scalar)
+        return
+    assert _compare_vector_scalar(op, values, scalar) == expected
 
 
 # -- shared plan cache ---------------------------------------------------------

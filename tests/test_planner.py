@@ -9,7 +9,7 @@ interpreter's row order).
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.database import Executor, PlanCache, standard_catalog
@@ -216,9 +216,11 @@ _KEY_POOL = st.one_of(
     st.none(),
     st.just(float("nan")),
     st.integers(0, 3),
-    st.sampled_from([0.0, 1.0, 2.5]),
+    st.sampled_from([0.0, -0.0, 1.0, 2.5]),
 )
 _MEASURE_POOL = st.one_of(st.none(), st.just(float("nan")), st.integers(-5, 5))
+#: one NaN object: IN-list membership matches it by identity, unlike another NaN
+_NAN = float("nan")
 
 
 @settings(max_examples=40, deadline=None)
@@ -226,11 +228,16 @@ _MEASURE_POOL = st.one_of(st.none(), st.just(float("nan")), st.integers(-5, 5))
     left=st.lists(st.tuples(_KEY_POOL, _MEASURE_POOL), max_size=12),
     right=st.lists(st.tuples(_KEY_POOL, _MEASURE_POOL), max_size=12),
 )
+@example(
+    left=[(1, 1), (1.0, 1), (0.0, 1), (-0.0, 1), (None, 1)],
+    right=[(1, 0), (0.0, 0)],
+)
+@example(left=[(_NAN, 1), (_NAN, 1), (float("nan"), 1)], right=[(_NAN, 0), (_NAN, 0)])
 def test_null_nan_equivalence_property(left, right):
     """Both engines agree — rows and order — over columns mixing NULLs,
-    NaNs, ints and floats: the join-key skip rules, NULL-rejecting
-    comparisons, NULL-skipping aggregates and correlated re-runs must line
-    up exactly."""
+    NaNs, ints, floats and signed zeros: the join-key skip rules,
+    NULL-rejecting comparisons, NULL-skipping aggregates and correlated runs
+    shared per outer binding must line up exactly."""
     from repro.database import Catalog, Column, DataType, Table
 
     catalog = Catalog(
@@ -267,6 +274,11 @@ def test_null_nan_equivalence_property(left, right):
         "SELECT lt.k, rt.w FROM lt RIGHT JOIN rt ON lt.v < rt.w",
         # correlated subquery: NULL / NaN outer keys reach the inner filter
         "SELECT k, v FROM lt WHERE v >= (SELECT max(w) FROM rt WHERE rt.k = lt.k)",
+        # the result renders the outer value: rows binding 1 and 1.0, or 0.0
+        # and -0.0, compare equal yet must not share one subquery run
+        "SELECT k, (SELECT count(*) || ':' || lt.k FROM rt WHERE rt.k = lt.k) FROM lt",
+        # nor may rows binding two NaN objects, which IN tells apart
+        "SELECT (SELECT count(*) FROM rt WHERE rt.k IN (lt.k)) FROM lt",
     ]
     for sql in queries:
         expected = interpreted.execute_sql(sql)
