@@ -90,7 +90,7 @@ def _state_pool(workload: str, catalog, executor):
 
 def _evaluate_pool(catalog, plan_cache, asts, states, memoize: bool):
     """Reward-evaluate every state ``PASSES`` times; returns metrics."""
-    executor = Executor(catalog, plan_cache=plan_cache, order_insensitive=True)
+    executor = Executor(catalog, plan_cache=plan_cache)
     memo = MappingMemo() if memoize else None
     mapper = InterfaceMapper(
         catalog,

@@ -6,7 +6,6 @@ Each module registers one rule via :func:`repro.analysis.core.register`:
 rule                        guards
 ========================== ==================================================
 ``unordered-iteration``     set/dict-view iteration order leaking into results
-``cache-key-field``         plan-cache key completeness vs. planner flags
 ``unlocked-shared-mutation`` lock discipline of shared caches and globals
 ``unpicklable-worker-state`` process-backend worker-spec pickle safety
 ``nondeterministic-key``    id()/hash()/env/time values inside keys
@@ -16,7 +15,6 @@ rule                        guards
 ========================== ==================================================
 """
 
-from . import cache_key  # noqa: F401
 from . import lock_guard  # noqa: F401
 from . import nondet_key  # noqa: F401
 from . import pickle_safety  # noqa: F401

@@ -12,7 +12,7 @@
 
 The MCTS step executes on a pluggable backend (serial round-robin or true
 worker processes — :mod:`repro.search.backends`).  The reward context each
-worker needs (executors, cost model, mappers) is built by
+worker needs (executor, cost model, mapper) is built by
 :func:`build_reward_setup`, used both in this process and inside each
 :class:`~repro.service.pool.WorkerPool` worker, so both backends run the
 same reward code against the same catalogue.
@@ -90,52 +90,33 @@ class RewardSetup:
 
     catalog: Catalog
     executor: Executor
-    reward_executor: Executor
     cost_model: CostModel
     mapper: InterfaceMapper
-    reward_mapper: InterfaceMapper
     memo: Optional[MappingMemo]
 
 
 def build_reward_setup(
     catalog: Catalog, asts: Sequence[Node], config: PipelineConfig
 ) -> RewardSetup:
-    """Build executors, cost model and mappers for one process.
+    """Build the executor, cost model and mapper for one process.
 
-    The executor compiles through the process-wide shared plan cache, so
-    every MCTS worker's reward queries — and any executor a caller builds
-    later over the same catalogue — reuse one compiled plan set.  The reward
-    loop never observes row order (schemas, safety checks and costs are all
-    multiset-level), so its executor opts into cost-based join reordering
-    without the ORDER-BY gate; the final Algorithm-1 mapping keeps the strict
-    executor.  Both share one PlanStats sink, and both mappers share the
-    process-wide mapping memo (two-level cache hierarchy, see PR 3).
+    One executor and one mapper serve the reward loop, the search's
+    transforms and the final Algorithm-1 mapping, so each distinct statement
+    runs once per process and its result is cached for every later caller.
+    The executor compiles through the process-wide shared plan cache, so any
+    executor a caller builds later over the same catalogue reuses one
+    compiled plan set, and the mapper reads and fills the process-wide
+    mapping memo.
     """
     executor = Executor(catalog, plan_cache=SHARED_PLAN_CACHE)
-    reward_executor = Executor(
-        catalog,
-        plan_cache=SHARED_PLAN_CACHE,
-        order_insensitive=True,
-        stats=executor.stats,
-    )
     cost_model = CostModel(asts, config.cost)
     memo = SHARED_MAPPING_MEMO if config.mapper.memoize else None
     mapper = InterfaceMapper(catalog, executor, cost_model, config.mapper, memo=memo)
-    reward_mapper = InterfaceMapper(
-        catalog,
-        reward_executor,
-        cost_model,
-        config.mapper,
-        memo=memo,
-        stats=mapper.stats,
-    )
     return RewardSetup(
         catalog=catalog,
         executor=executor,
-        reward_executor=reward_executor,
         cost_model=cost_model,
         mapper=mapper,
-        reward_mapper=reward_mapper,
         memo=memo,
     )
 
@@ -155,7 +136,7 @@ def make_reward_fn(
     which worker evaluates a state first cannot matter.  ``worker_index``
     only addresses fault injection; it never affects rewards.
     """
-    reward_mapper = setup.reward_mapper
+    mapper = setup.mapper
     mappings = config.search.reward_mappings
     seed = config.seed
 
@@ -167,9 +148,7 @@ def make_reward_fn(
             f"{seed}|{state.trees_fingerprint()}".encode("utf-8")
         ).digest()
         reward_rng = random.Random(int.from_bytes(digest[:8], "big"))
-        interfaces = reward_mapper.random_interfaces(
-            state.trees, mappings, reward_rng
-        )
+        interfaces = mapper.random_interfaces(state.trees, mappings, reward_rng)
         if not interfaces:
             return float("-inf")
         best = best_interface_cost(interfaces)

@@ -26,7 +26,6 @@ from .statistics import (
     CATEGORICAL_CARDINALITY_THRESHOLD,
     ColumnStatistics,
     compute_column_statistics,
-    estimate_equi_join_rows,
 )
 from .table import Column, RelColumn, Relation, ResultColumn, ResultTable, Table
 from .types import DataType, infer_value_type, looks_like_date, unify_all, unify_types
@@ -54,7 +53,6 @@ __all__ = [
     "TODAY",
     "Table",
     "compute_column_statistics",
-    "estimate_equi_join_rows",
     "function_return_type",
     "infer_value_type",
     "is_aggregate",

@@ -39,7 +39,6 @@ from .planner import (
     CrossJoinOp,
     FilterOp,
     HashJoinOp,
-    MapOp,
     NestedLoopJoinOp,
     Plan,
     PlanOp,
@@ -183,7 +182,7 @@ class ColumnarEngine:
                 crel = ColumnarRelation(list(op.schema), cols, len(table))
                 return self._filter_chain(crel, op.predicates, env)
             if isinstance(op, SubqueryScanOp):
-                sub = self.ex.execute(op.stmt, env, _nested=True)
+                sub = self.ex.execute(op.stmt, env)
                 columns = [
                     RelColumn(c.name, op.alias, c.dtype, c.source, c.is_aggregate)
                     for c in sub.columns
@@ -193,11 +192,6 @@ class ColumnarEngine:
             if isinstance(op, FilterOp):
                 crel = run(op.child)
                 return self._filter_chain(crel, op.predicates, env)
-            if isinstance(op, MapOp):
-                crel = run(op.child)
-                return ColumnarRelation(
-                    list(op.schema), [crel.cols[i] for i in op.indices], crel.nrows
-                )
             if isinstance(op, HashJoinOp):
                 stats.hash_joins_executed += 1
                 return self._hash_join(run(op.left), run(op.right), op, env)
@@ -717,7 +711,7 @@ class ColumnarEngine:
 
     def _members(self, sub: Node, env: Optional[Environment]) -> set:
         """The membership set of an IN subquery run in scope ``env``."""
-        result = self.ex.execute(sub, env, _nested=True)
+        result = self.ex.execute(sub, env)
         return {row[0] for row in result.rows} if result.columns else set()
 
     def _per_binding(
@@ -850,7 +844,7 @@ class ColumnarEngine:
                 )
         if label == L.SUBQUERY:
             # self-contained: one execution stands in for the per-row re-runs
-            sub = self.ex.execute(node, env, _nested=True)
+            sub = self.ex.execute(node, env)
             return (_SCALAR, sub.rows[0][0] if sub.rows else None)
         if label == L.IN_QUERY:
             value = self._eval(node.children[0], crel, env)

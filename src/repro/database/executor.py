@@ -8,9 +8,9 @@ public API, the DISTINCT / ORDER BY / LIMIT tail, and the AST interpreter.
 The plan layer exists because interface generation's MCTS reward loop
 executes thousands of small queries per run: hash equi-joins replace the
 interpreter's cross-product + filter (O(|L|+|R|) instead of O(|L|·|R|)),
-single-table WHERE conjuncts are pushed below joins onto base-table scans
-(and into FROM subqueries when provably safe), and scans materialise only the
-columns a statement references.
+single-table WHERE conjuncts are pushed below joins onto their FROM item,
+and scans materialise only the columns a statement references.  Every plan
+joins in FROM order, so one plan per statement serves every caller.
 
 Compiled plans are cached by AST fingerprint in a **process-wide** cache
 (:data:`repro.database.plancache.SHARED_PLAN_CACHE`) shared across every
@@ -58,7 +58,7 @@ from .functions import (
     SCALAR_FUNCTIONS,
     is_aggregate,
 )
-from .plancache import SHARED_PLAN_CACHE, PlanCache, plan_key
+from .plancache import SHARED_PLAN_CACHE, PlanCache
 from .planner import Plan, Planner, PlanStats, contains_aggregate
 from .table import RelColumn, Relation, ResultColumn, ResultTable
 from .types import DataType, aggregate_result_type, infer_value_type, unify_all
@@ -116,24 +116,12 @@ class Executor:
             default).  ``False`` falls back to direct AST interpretation —
             kept as the equivalence oracle for tests and as the baseline for
             the join and columnar benchmarks.
-        allow_reorder: permit cost-based join reordering for queries whose
-            ORDER BY re-fixes the output row order.
-        order_insensitive: declare that this executor's *top-level* callers
-            never observe output row order, extending join reordering past
-            the ORDER-BY gate (LIMIT queries stay gated — truncation would
-            turn an order change into a row-set change).  Statements executed
-            inside an expression context (scalar subqueries, whose first row
-            *is* observable) always keep FROM order.  The pipeline opts in
-            for the MCTS reward loop's executor only.
         cache_size: LRU bound on the result cache.
         plan_cache: compiled-plan cache; defaults to the process-wide
             :data:`~repro.database.plancache.SHARED_PLAN_CACHE` so executors
             over the same catalogue share one compiled plan set.  Pass a
             private :class:`~repro.database.plancache.PlanCache` to isolate
             an executor (e.g. when benchmarking plan compilation itself).
-        stats: counter sink; pass an existing :class:`PlanStats` to aggregate
-            several executors' activity (the pipeline shares one between its
-            reward and mapping executors).
     """
 
     def __init__(
@@ -141,26 +129,16 @@ class Executor:
         catalog: Catalog,
         enable_cache: bool = True,
         use_planner: bool = True,
-        allow_reorder: bool = True,
-        order_insensitive: bool = False,
         cache_size: int = 1024,
         plan_cache: Optional[PlanCache] = None,
-        stats: Optional[PlanStats] = None,
     ) -> None:
         self.catalog = catalog
         self.enable_cache = enable_cache
         self.use_planner = use_planner
-        self.allow_reorder = allow_reorder
-        self.order_insensitive = order_insensitive
         self.cache_size = max(1, cache_size)
         self._cache: "OrderedDict[str, ResultTable]" = OrderedDict()
-        self.stats = stats if stats is not None else PlanStats()
-        self.planner = Planner(
-            catalog,
-            self.stats,
-            allow_reorder=allow_reorder,
-            order_insensitive=order_insensitive,
-        )
+        self.stats = PlanStats()
+        self.planner = Planner(catalog, self.stats)
         self.plan_cache = plan_cache if plan_cache is not None else SHARED_PLAN_CACHE
         from .columnar import ColumnarEngine  # deferred: columnar imports this module
 
@@ -172,32 +150,20 @@ class Executor:
         """Parse and execute a SQL string."""
         return self.execute(parse(sql))
 
-    def execute(
-        self, node: Node, env: Optional[Environment] = None, _nested: bool = False
-    ) -> ResultTable:
+    def execute(self, node: Node, env: Optional[Environment] = None) -> ResultTable:
         """Execute a SELECT statement AST and return its result table.
 
-        ``_nested`` is set internally when a statement executes as part of an
-        enclosing one (FROM subqueries, subquery expressions).  Nested
-        statements always plan with FROM order fixed: their row order can
-        become observable upward — a scalar subquery's value is its first
-        row, and an outer LIMIT turns a FROM subquery's row order into a
-        row-*set* difference — so only the outermost statement may opt into
-        order-insensitive reordering.
+        ``env`` is the enclosing statement's scope when the statement runs
+        as a subquery; only statements run without one are cached.
         """
         if node.label == L.SUBQUERY:
             node = node.children[0]
         if node.label != L.SELECT_STMT:
             raise ExecutionError(f"cannot execute node {node.label!r}")
 
-        # the effective planning mode is part of the cached-result identity:
-        # relaxed plans may return a different row order than strict ones
-        fix_order = _nested or env is not None
-        order_insensitive = self.order_insensitive and not fix_order
-
         cache_key = None
         if self.enable_cache and env is None:
-            cache_key = (node.fingerprint(), order_insensitive)
+            cache_key = node.fingerprint()
             cached = self._cache.get(cache_key)
             if cached is not None:
                 self._cache.move_to_end(cache_key)
@@ -205,8 +171,8 @@ class Executor:
                 return cached.copy()
             self.stats.result_cache_misses += 1
 
-        with span("executor.execute", nested=_nested or env is not None):
-            result = self._execute_select(node, env, order_insensitive)
+        with span("executor.execute"):
+            result = self._execute_select(node, env)
         if cache_key is not None:
             self._cache[cache_key] = result
             while len(self._cache) > self.cache_size:
@@ -225,17 +191,14 @@ class Executor:
         node = parse(sql)
         if node.label == L.SUBQUERY:
             node = node.children[0]
-        # explain shows the top-level plan, which honours the opt-in
-        return self._plan_for(node, order_insensitive=self.order_insensitive).explain()
+        return self._plan_for(node).explain()
 
     # -- select pipeline ------------------------------------------------------
 
-    def _execute_select(
-        self, stmt: Node, env: Optional[Environment], order_insensitive: bool = False
-    ) -> ResultTable:
+    def _execute_select(self, stmt: Node, env: Optional[Environment]) -> ResultTable:
         if not self.use_planner:
             return self._execute_select_interpreted(stmt, env)
-        plan = self._plan_for(stmt, order_insensitive=order_insensitive)
+        plan = self._plan_for(stmt)
         result = self._columnar_engine.execute_plan(plan, env)
         self.stats.columnar_executions += 1
         if plan.distinct:
@@ -246,14 +209,14 @@ class Executor:
             result = self._limit(result, plan.limit, env)
         return result
 
-    def _plan_for(self, stmt: Node, order_insensitive: bool = False) -> Plan:
-        key = plan_key(stmt.fingerprint(), self.allow_reorder, order_insensitive)
+    def _plan_for(self, stmt: Node) -> Plan:
+        key = stmt.fingerprint()
         plan = self.plan_cache.get(self.catalog, key)
         if plan is not None:
             self.stats.plan_cache_hits += 1
             return plan
         with span("executor.plan"):
-            plan = self.planner.plan(stmt, order_insensitive=order_insensitive)
+            plan = self.planner.plan(stmt)
         self.plan_cache.put(self.catalog, key, plan)
         return plan
 
@@ -339,7 +302,7 @@ class Executor:
             return Relation(columns=columns, rows=list(table.rows))
 
         if source.label == L.SUBQUERY:
-            sub_result = self.execute(source.children[0], env, _nested=True)
+            sub_result = self.execute(source.children[0], env)
             qualifier = alias
             columns = [
                 RelColumn(
@@ -709,7 +672,7 @@ class Executor:
             return value in options
         if label == L.IN_QUERY:
             value = self._eval_expr(node.children[0], env, group_rows, relation)
-            sub = self.execute(node.children[1], env, _nested=True)
+            sub = self.execute(node.children[1], env)
             if not sub.columns:
                 return False
             return value in set(row[0] for row in sub.rows)
@@ -720,7 +683,7 @@ class Executor:
         if label == L.FUNC:
             return self._eval_func(node, env, group_rows, relation)
         if label == L.SUBQUERY:
-            sub = self.execute(node, env, _nested=True)
+            sub = self.execute(node, env)
             # scalar context: take the first value (matches SQLite behaviour)
             return sub.rows[0][0] if sub.rows else None
         if label == L.CASE:

@@ -4,9 +4,9 @@ The MCTS reward loop and the benchmark harnesses build many executors over
 the same catalogue and replay the same workload-log queries through each of
 them; before this cache every executor recompiled every plan from scratch.
 The cache is keyed per *catalogue object* (plans embed column indices and
-cardinality estimates, so they are only valid for the catalogue they were
-planned against) and, within a catalogue, by ``(statement fingerprint,
-planner options)``.
+schemas, so they are only valid for the catalogue they were planned against)
+and, within a catalogue, by statement fingerprint: the planner has no
+options, so a statement has exactly one plan.
 
 Catalogue entries are held through weak references: dropping the last strong
 reference to a catalogue frees its cached plans, and — critically — a new
@@ -28,24 +28,6 @@ from ..obs import span
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .catalog import Catalog
     from .planner import Plan
-
-
-def plan_key(fingerprint: str, allow_reorder: bool, order_insensitive: bool) -> tuple:
-    """The within-catalogue cache key of one compiled plan.
-
-    Every planner option that changes the *compiled artifact* must appear
-    here: ``allow_reorder`` / ``order_insensitive`` change the join order, so
-    executors with different settings sharing one cache must never exchange
-    plans compiled under the other setting.
-
-    Completeness is enforced statically: the ``cache-key-field`` rule of
-    ``repro.analysis`` cross-references the flags ``Executor.__init__``
-    forwards into ``Planner(...)`` against this signature and every call
-    site, so adding a planner flag without threading it here fails the CI
-    ``static-analysis`` gate (dynamic counterpart:
-    ``tests/test_planner.py::test_every_planner_flag_partitions_the_plan_cache``).
-    """
-    return (fingerprint, allow_reorder, order_insensitive)
 
 
 class PlanCache:
@@ -109,12 +91,14 @@ class PlanCache:
             }
 
     def export_entries(self, catalog: "Catalog") -> list[tuple]:
-        """The catalogue's ``(key, plan)`` pairs, LRU order (for persistence).
+        """The catalogue's ``(fingerprint, plan)`` pairs, LRU order (for
+        persistence).
 
-        Plans reference tables by *name* and embed only statistics derived
-        from the catalogue's data, so entries exported here are valid for —
-        and may be :meth:`import_entries`-ed into — any catalogue with the
-        same content fingerprint (see :mod:`repro.service.fingerprint`).
+        Plans reference tables by *name* and embed only column positions and
+        schemas of the catalogue's tables, so entries exported here are
+        valid for — and may be :meth:`import_entries`-ed into — any
+        catalogue with the same content fingerprint (see
+        :mod:`repro.service.fingerprint`).
         """
         with self._lock:
             plans = self._by_catalog.get(catalog)

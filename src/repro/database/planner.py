@@ -16,18 +16,16 @@ traffic live:
   multiplies rows;
 * **projection pruning** — base-table scans materialise only the columns the
   statement actually references;
-* **subquery pushdown** — single-table ``WHERE`` conjuncts over a FROM
-  subquery alias are rewritten into the subquery's own ``WHERE`` when every
-  referenced output column provably maps to a base attribute, so the filter
-  runs below the subquery's scan instead of above its materialised result;
-* **cost-based join ordering** — when the query has an ``ORDER BY`` (which
-  re-fixes the output row order), comma-join chains are greedily reordered
-  smallest-estimated-input-first using ``statistics.py`` cardinalities, and a
-  :class:`MapOp` restores the original column layout above the joins.
+* **static FROM-subquery schemas** — a FROM subquery that projects columns
+  and aggregates of one base table gets its output schema at plan time, so
+  it takes part in hash joins and its single-item conjuncts filter directly
+  above its scan.
 
-The planner is deliberately conservative: any construct it cannot prove safe
-(subqueries inside candidate predicates, FROM subqueries with statically
-unknown schemas, non-equi join conditions, dtype combinations whose equality
+Joins always run in FROM order, left-deep, with no cost-based reordering,
+so every plan emits rows in the interpreter's order.  The planner is
+deliberately conservative: any construct it cannot prove safe (subqueries
+inside candidate predicates, FROM subqueries with statically unknown
+schemas, non-equi join conditions, dtype combinations whose equality
 semantics rely on the executor's value coercion) falls back to the
 cross-join + filter strategy of the original interpreter, so planned
 execution is result-identical — including row order — to interpreting the
@@ -45,7 +43,6 @@ from typing import ClassVar, Optional, Sequence, Union
 from ..sqlparser import L, Node, to_sql
 from .catalog import Catalog
 from .functions import is_aggregate
-from .statistics import estimate_equi_join_rows, estimate_group_count
 from .table import RelColumn, Relation
 from .types import DataType, aggregate_result_type
 
@@ -74,8 +71,6 @@ class PlanStats:
     nested_loop_joins_planned: int = 0
     cross_joins_planned: int = 0
     predicates_pushed: int = 0
-    subquery_pushdowns: int = 0
-    joins_reordered: int = 0
     columns_pruned: int = 0
     hash_joins_executed: int = 0
     cross_joins_executed: int = 0
@@ -114,7 +109,6 @@ class ScanOp:
     column_indices: Optional[list[int]] = None
     #: single-table predicates pushed below the join (applied after the scan)
     predicates: list[Node] = field(default_factory=list)
-    estimated_rows: float = 0.0
 
 
 @dataclass
@@ -124,19 +118,12 @@ class SubqueryScanOp:
     ``schema`` is derived statically when the subquery is a plain projection
     of a single base table (which also makes the item eligible for hash joins
     and predicate classification); otherwise it stays ``None`` and the schema
-    is only known at run time.  ``pushdown_map`` maps output column names to
-    qualified base attributes of the inner FROM item, and ``pushdown_safe``
-    records whether rewriting outer conjuncts into the inner WHERE preserves
-    semantics (no LIMIT — filters commute with projection, DISTINCT and
-    ORDER BY, but not with row-count truncation).
+    is only known at run time.
     """
 
     stmt: Node
     alias: Optional[str]
     schema: Optional[list[RelColumn]] = None
-    estimated_rows: float = 0.0
-    pushdown_map: Optional[dict[str, str]] = None
-    pushdown_safe: bool = False
 
 
 @dataclass
@@ -146,7 +133,6 @@ class FilterOp:
     child: "PlanOp"
     predicates: list[Node]
     schema: Optional[list[RelColumn]] = None
-    estimated_rows: float = 0.0
 
 
 @dataclass
@@ -166,7 +152,6 @@ class HashJoinOp:
     join_type: str = "INNER"  # INNER / LEFT / RIGHT
     residual: Optional[Node] = None
     schema: Optional[list[RelColumn]] = None
-    estimated_rows: float = 0.0
 
 
 @dataclass
@@ -178,7 +163,6 @@ class NestedLoopJoinOp:
     condition: Optional[Node]
     join_type: str = "INNER"
     schema: Optional[list[RelColumn]] = None
-    estimated_rows: float = 0.0
 
 
 @dataclass
@@ -188,28 +172,9 @@ class CrossJoinOp:
     left: "PlanOp"
     right: "PlanOp"
     schema: Optional[list[RelColumn]] = None
-    estimated_rows: float = 0.0
 
 
-@dataclass
-class MapOp:
-    """Reorder / select columns of the child relation by position.
-
-    Emitted above a reordered join chain to restore the original FROM-order
-    column layout, so every stage above the joins (residual filters, ``*``
-    expansion, name resolution) sees exactly the schema the interpreter
-    would build.
-    """
-
-    child: "PlanOp"
-    indices: list[int]
-    schema: list[RelColumn]
-    estimated_rows: float = 0.0
-
-
-PlanOp = Union[
-    ScanOp, SubqueryScanOp, FilterOp, HashJoinOp, NestedLoopJoinOp, CrossJoinOp, MapOp
-]
+PlanOp = Union[ScanOp, SubqueryScanOp, FilterOp, HashJoinOp, NestedLoopJoinOp, CrossJoinOp]
 
 
 @dataclass
@@ -257,7 +222,7 @@ def _explain_op(op: PlanOp, depth: int) -> list[str]:
         cols = "*" if op.column_indices is None else ", ".join(
             c.name for c in op.schema
         )
-        line = f"{pad}Scan {op.table} [{cols}] (~{op.estimated_rows:.0f} rows)"
+        line = f"{pad}Scan {op.table} [{cols}]"
         if op.predicates:
             preds = " AND ".join(to_sql(p) for p in op.predicates)
             line += f" filter: {preds}"
@@ -272,7 +237,7 @@ def _explain_op(op: PlanOp, depth: int) -> list[str]:
             f"{op.left.schema[li].qualified} = {op.right.schema[ri].qualified}"
             for li, ri in zip(op.left_key_idx, op.right_key_idx)
         )
-        head = f"{pad}HashJoin[{op.join_type}] on {keys} (~{op.estimated_rows:.0f} rows)"
+        head = f"{pad}HashJoin[{op.join_type}] on {keys}"
         if op.residual is not None:
             head += f" residual: {to_sql(op.residual)}"
         return [head] + _explain_op(op.left, depth + 1) + _explain_op(op.right, depth + 1)
@@ -289,10 +254,6 @@ def _explain_op(op: PlanOp, depth: int) -> list[str]:
             + _explain_op(op.left, depth + 1)
             + _explain_op(op.right, depth + 1)
         )
-    if isinstance(op, MapOp):
-        return [f"{pad}MapColumns (restore FROM order)"] + _explain_op(
-            op.child, depth + 1
-        )
     raise PlanningError(f"unknown plan operator {op!r}")
 
 
@@ -305,39 +266,19 @@ class Planner:
     """Compiles SELECT statement ASTs into :class:`Plan` objects.
 
     Args:
-        catalog: schemas and statistics for scans and join estimates.
+        catalog: the schemas scans and FROM subqueries are planned against.
         stats: shared counters (defaults to a private instance).
-        allow_reorder: permit the cost-based join-ordering pass.  Reordering
-            changes intermediate row order, so even when enabled it is only
-            applied to queries whose ``ORDER BY`` re-fixes the output order.
-        order_insensitive: the caller declares that it never observes output
-            row order (multiset semantics), extending join reordering to
-            queries without the ORDER-BY gate.  Even then queries with a
-            ``LIMIT`` keep FROM order — truncation turns a row-order change
-            into a row-*set* change.  Off by default; the pipeline opts in
-            for the MCTS reward loop only.
     """
 
-    def __init__(
-        self,
-        catalog: Catalog,
-        stats: Optional[PlanStats] = None,
-        allow_reorder: bool = True,
-        order_insensitive: bool = False,
-    ) -> None:
+    def __init__(self, catalog: Catalog, stats: Optional[PlanStats] = None) -> None:
         self.catalog = catalog
         self.stats = stats or PlanStats()
-        self.allow_reorder = allow_reorder
-        self.order_insensitive = order_insensitive
 
     # -- public API --------------------------------------------------------
 
-    def plan(self, stmt: Node, order_insensitive: Optional[bool] = None) -> Plan:
+    def plan(self, stmt: Node) -> Plan:
         if stmt.label != L.SELECT_STMT:
             raise PlanningError(f"cannot plan node {stmt.label!r}")
-        order_insensitive = (
-            self.order_insensitive if order_insensitive is None else order_insensitive
-        )
         clauses = {child.label: child for child in stmt.children}
         select = clauses.get(L.SELECT_CLAUSE)
         if select is None:
@@ -346,22 +287,12 @@ class Planner:
         referenced = self._referenced_columns(stmt, select)
         where = clauses.get(L.WHERE_CLAUSE)
         predicate = where.children[0] if where is not None else None
-        orderby = clauses.get(L.ORDERBY_CLAUSE)
 
         from_clause = clauses.get(L.FROM_CLAUSE)
         if from_clause is None:
             source, residual = None, predicate
         else:
-            reorder_ok = self.allow_reorder and (
-                (
-                    orderby is not None
-                    and self._orderby_fixes_output(select, orderby)
-                )
-                or (order_insensitive and clauses.get(L.LIMIT_CLAUSE) is None)
-            )
-            source, residual = self._plan_from(
-                from_clause, predicate, referenced, reorder_ok
-            )
+            source, residual = self._plan_from(from_clause, predicate, referenced)
 
         groupby = clauses.get(L.GROUPBY_CLAUSE)
         having = clauses.get(L.HAVING_CLAUSE)
@@ -372,40 +303,11 @@ class Planner:
             select=select,
             groupby=groupby,
             having=having,
-            orderby=orderby,
+            orderby=clauses.get(L.ORDERBY_CLAUSE),
             limit=clauses.get(L.LIMIT_CLAUSE),
             distinct=select.value == "DISTINCT",
             has_aggregates=contains_aggregate(select) or having is not None,
         )
-
-    @staticmethod
-    def _orderby_fixes_output(select: Node, orderby: Node) -> bool:
-        """True when ORDER BY provably fixes the observable output order.
-
-        Join reordering changes intermediate row order, and a stable sort
-        preserves that order among rows that tie on the sort keys — so an
-        ORDER BY only makes reordering safe when ties are *unobservable*.
-        That holds when the sort keys cover every output column (all plain
-        column projections, matched by name or alias): rows tying on all
-        keys are then entirely identical, and swapping identical rows
-        cannot change the result, even under LIMIT.
-        """
-        keys = set()
-        for item in orderby.children:
-            expr = item.children[0]
-            if expr.label != L.COLUMN:
-                return False
-            keys.add(str(expr.value))
-        for item in select.children:
-            expr = item.children[0]
-            if expr.label != L.COLUMN:
-                return False  # expressions and * are never provably covered
-            alias = None
-            if len(item.children) > 1 and item.children[1].label == L.ALIAS:
-                alias = str(item.children[1].value)
-            if str(expr.value) not in keys and (alias is None or alias not in keys):
-                return False
-        return True
 
     # -- subquery correlation -------------------------------------------------
 
@@ -542,7 +444,6 @@ class Planner:
         from_clause: Node,
         predicate: Optional[Node],
         referenced: Optional[tuple[set, set]],
-        reorder_ok: bool = False,
     ) -> tuple[PlanOp, Optional[Node]]:
         items = [self._plan_table_ref(ref, referenced) for ref in from_clause.children]
         schemas = [op.schema for op in items]
@@ -553,7 +454,7 @@ class Planner:
         join_keys: list[tuple[int, int, int, int]] = []  # (i, li, j, lj), i < j
         residual: list[Node] = []
 
-        if known and len(items) >= 1:
+        if known:
             for conj in conjuncts:
                 target = self._classify_conjunct(conj, schemas)
                 if target is None:
@@ -566,91 +467,31 @@ class Planner:
         else:
             residual = list(conjuncts)
 
-        # attach single-item predicates directly above their item; predicates
-        # over a FROM subquery are rewritten into the subquery's own WHERE
-        # when its output columns provably map to base attributes
+        # attach single-item predicates directly above their item
         for idx, preds in enumerate(pushed):
             if not preds:
                 continue
             op = items[idx]
             if isinstance(op, ScanOp):
                 op.predicates.extend(preds)
-            elif isinstance(op, SubqueryScanOp):
-                leftover = self._push_into_subquery(op, preds)
-                if leftover:
-                    items[idx] = FilterOp(op, leftover, schema=op.schema)
             else:
                 items[idx] = FilterOp(op, preds, schema=op.schema)
 
-        order = list(range(len(items)))
-        reordered = None
-        if (
-            reorder_ok
-            and known
-            and len(items) >= 2
-            and join_keys
-            and all(ref.label == L.TABLE_REF for ref in from_clause.children)
-        ):
-            reordered = self._reorder(items, join_keys)
-        if reordered is not None:
-            order = reordered
-            self.stats.joins_reordered += 1
-
-        acc, offsets = self._build_chain(items, schemas, join_keys, order, known)
-        if order != list(range(len(items))):
-            # restore the original FROM-order column layout above the joins
-            indices = [
-                offsets[item] + c
-                for item in range(len(items))
-                for c in range(len(schemas[item] or []))
-            ]
-            acc = MapOp(
-                acc,
-                indices,
-                schema=[col for s in schemas for col in (s or [])],
-                estimated_rows=acc.estimated_rows,
-            )
-
-        residual_node = _combine_conjuncts(residual)
-        return acc, residual_node
-
-    def _build_chain(
-        self,
-        items: list[PlanOp],
-        schemas: list[Optional[list[RelColumn]]],
-        join_keys: list[tuple[int, int, int, int]],
-        order: list[int],
-        known: bool,
-    ) -> tuple[PlanOp, dict[int, int]]:
-        """Left-deep join chain over ``items`` taken in ``order``.
-
-        Returns the chain root and each item's column offset in the chain's
-        combined schema.  A join key attaches as soon as both of its
-        endpoints are placed, so any permutation uses every key.
-        """
-        first = order[0]
-        acc = items[first]
-        offsets = {first: 0}
-        width = len(schemas[first] or [])
-        for j in order[1:]:
-            keys: list[tuple[int, int]] = []
-            for (a, la, b, lb) in join_keys:
-                if b == j and a in offsets:
-                    keys.append((offsets[a] + la, lb))
-                elif a == j and b in offsets:
-                    keys.append((offsets[b] + lb, la))
+        # left-deep chain in FROM order: a join key attaches at its later item
+        acc = items[0]
+        offsets = [0]
+        for j in range(1, len(items)):
+            offsets.append(offsets[-1] + len(schemas[j - 1] or []))
+            keys = [(offsets[i] + li, lj) for (i, li, b, lj) in join_keys if b == j]
             right = items[j]
-            if keys and known:
-                left_idx = [k[0] for k in keys]
-                right_idx = [k[1] for k in keys]
+            if keys:
                 acc = HashJoinOp(
                     acc,
                     right,
-                    left_idx,
-                    right_idx,
+                    [k[0] for k in keys],
+                    [k[1] for k in keys],
                     "INNER",
-                    schema=(acc.schema or []) + (right.schema or []),
-                    estimated_rows=self._estimate_join(acc, right, left_idx, right_idx),
+                    schema=acc.schema + right.schema,
                 )
                 self.stats.hash_joins_planned += 1
             else:
@@ -658,49 +499,9 @@ class Planner:
                     acc,
                     right,
                     schema=(acc.schema + right.schema) if known else None,
-                    estimated_rows=acc.estimated_rows * right.estimated_rows,
                 )
                 self.stats.cross_joins_planned += 1
-            offsets[j] = width
-            width += len(schemas[j] or [])
-        return acc, offsets
-
-    @staticmethod
-    def _reorder(
-        items: list[PlanOp], join_keys: list[tuple[int, int, int, int]]
-    ) -> Optional[list[int]]:
-        """Greedy smallest-input-first join order, or ``None`` to keep FROM order.
-
-        Starts from the smallest estimated input that participates in a join
-        key and repeatedly attaches the smallest item joinable to the placed
-        set (falling back to the smallest remaining item when none connect).
-        Smaller inputs earlier means smaller hash-join build sides and
-        smaller intermediate results.
-        """
-        n = len(items)
-        est = [op.estimated_rows for op in items]
-        partners: dict[int, set[int]] = {i: set() for i in range(n)}
-        for (a, _la, b, _lb) in join_keys:
-            partners[a].add(b)
-            partners[b].add(a)
-        connected = [i for i in range(n) if partners[i]]
-        if not connected:
-            return None
-        start = min(connected, key=lambda k: (est[k], k))
-        order = [start]
-        placed = {start}
-        while len(order) < n:
-            candidates = [
-                k for k in range(n) if k not in placed and partners[k] & placed
-            ]
-            if not candidates:
-                candidates = [k for k in range(n) if k not in placed]
-            nxt = min(candidates, key=lambda k: (est[k], k))
-            order.append(nxt)
-            placed.add(nxt)
-        if order == list(range(n)):
-            return None
-        return order
+        return acc, _combine_conjuncts(residual)
 
     def _plan_table_ref(
         self, ref: Node, referenced: Optional[tuple[set, set]]
@@ -730,15 +531,8 @@ class Planner:
         HAVING shapes — exactly the forms whose runtime ``ResultTable``
         schema the planner can predict, column for column.  On success the
         subquery item participates in predicate classification and hash
-        joins like a base scan.
-
-        ``pushdown_map`` only exposes output columns whose inner filter
-        provably commutes with the subquery: every plain column for
-        ungrouped subqueries, but *only the GROUP BY key columns* for
-        grouped ones — filtering rows on a group key before grouping removes
-        exactly the groups whose key fails, while filtering on any other
-        column would change group membership (and aggregate outputs cannot
-        be filtered below the grouping at all).
+        joins like a base scan, and :meth:`outer_refs` can resolve names
+        against it.
         """
         stmt = op.stmt
         if stmt.label != L.SELECT_STMT:
@@ -760,22 +554,8 @@ class Planner:
             inner_alias = str(ref.children[1].value)
         inner_qualifier = inner_alias or table.name
 
-        groupby = clauses.get(L.GROUPBY_CLAUSE)
-        having = clauses.get(L.HAVING_CLAUSE)
-        grouped = (
-            groupby is not None or having is not None or contains_aggregate(select)
-        )
-        # plain-column GROUP BY keys: the only outputs whose predicates may
-        # be rewritten into the grouped subquery's own WHERE
-        group_keys: set[str] = set()
-        if groupby is not None:
-            for expr in groupby.children:
-                key = _table_column(expr, table, inner_qualifier)
-                if key is not None:
-                    group_keys.add(key)
-
-        # (output name, pushable inner column or None, dtype, source, is_agg)
-        out: list[tuple[str, Optional[str], DataType, Optional[str], bool]] = []
+        # (output name, dtype, source, is_agg)
+        out: list[tuple[str, DataType, Optional[str], bool]] = []
         for item in select.children:
             expr = item.children[0]
             item_alias = None
@@ -785,7 +565,7 @@ class Planner:
                 if item_alias is not None:
                     return
                 out.extend(
-                    (c.name, c.name, c.dtype, f"{table.name}.{c.name}", False)
+                    (c.name, c.dtype, f"{table.name}.{c.name}", False)
                     for c in table.columns
                 )
                 continue
@@ -795,13 +575,7 @@ class Planner:
                     return
                 col = table.column(bare)
                 out.append(
-                    (
-                        item_alias or bare,
-                        bare,
-                        col.dtype,
-                        f"{table.name}.{col.name}",
-                        False,
-                    )
+                    (item_alias or bare, col.dtype, f"{table.name}.{col.name}", False)
                 )
                 continue
             if expr.label == L.FUNC and is_aggregate(str(expr.value)):
@@ -809,15 +583,14 @@ class Planner:
                 if dtype is None:
                     return
                 base = str(expr.value).removesuffix(" distinct")
-                out.append((item_alias or base, None, dtype, None, True))
+                out.append((item_alias or base, dtype, None, True))
                 continue
             return
 
         # deduplicate output names exactly like the executor's output schema
         seen: dict[str, int] = {}
         schema: list[RelColumn] = []
-        pushdown_map: dict[str, str] = {}
-        for out_name, bare, dtype, source, is_agg in out:
+        for out_name, dtype, source, is_agg in out:
             if out_name in seen:
                 seen[out_name] += 1
                 out_name = f"{out_name}_{seen[out_name]}"
@@ -832,15 +605,7 @@ class Planner:
                     is_aggregate=is_agg,
                 )
             )
-            if bare is not None and (not grouped or bare in group_keys):
-                pushdown_map[out_name] = f"{inner_qualifier}.{bare}"
-
         op.schema = schema
-        op.estimated_rows = self._estimate_subquery_rows(
-            table, inner_qualifier, grouped, groupby
-        )
-        op.pushdown_map = pushdown_map
-        op.pushdown_safe = clauses.get(L.LIMIT_CLAUSE) is None
 
     def _static_aggregate_type(
         self, expr: Node, table, qualifier: str
@@ -867,89 +632,6 @@ class Planner:
         if base in ("sum", "min", "max") and arg_dtype is None:
             return None
         return aggregate_result_type(str(expr.value), arg_dtype)
-
-    def _estimate_subquery_rows(
-        self, table, qualifier: str, grouped: bool, groupby: Optional[Node]
-    ) -> float:
-        if not grouped:
-            return float(len(table))
-        key_distincts: list = []
-        for expr in groupby.children if groupby is not None else []:
-            bare = _table_column(expr, table, qualifier)
-            distinct = None
-            if bare is not None:
-                try:
-                    distinct = self.catalog.statistics(
-                        f"{table.name}.{bare}"
-                    ).distinct_count
-                except Exception:
-                    distinct = None
-            key_distincts.append(distinct)
-        return estimate_group_count(len(table), key_distincts)
-
-    def _push_into_subquery(
-        self, op: SubqueryScanOp, preds: list[Node]
-    ) -> list[Node]:
-        """Rewrite pushable conjuncts into the subquery's own WHERE clause.
-
-        Returns the conjuncts that could not be rewritten (they stay above
-        the subquery scan as a FilterOp).  The subquery statement is copied
-        before modification so the caller's AST is never mutated.
-        """
-        if not op.pushdown_safe or not op.pushdown_map:
-            return preds
-        pushable: list[Node] = []
-        leftover: list[Node] = []
-        for conj in preds:
-            rewritten = self._rewrite_for_subquery(conj, op)
-            if rewritten is not None:
-                pushable.append(rewritten)
-            else:
-                leftover.append(conj)
-        if not pushable:
-            return leftover
-
-        new_stmt = op.stmt.copy()
-        where = next(
-            (c for c in new_stmt.children if c.label == L.WHERE_CLAUSE), None
-        )
-        if where is not None:
-            where.children[0] = _combine_conjuncts([where.children[0], *pushable])
-        else:
-            where = Node(L.WHERE_CLAUSE, None, [_combine_conjuncts(pushable)])
-            insert_at = 1 + next(
-                i
-                for i, c in enumerate(new_stmt.children)
-                if c.label == L.FROM_CLAUSE
-            )
-            new_stmt.children.insert(insert_at, where)
-        op.stmt = new_stmt
-        self.stats.subquery_pushdowns += len(pushable)
-        return leftover
-
-    def _rewrite_for_subquery(
-        self, conj: Node, op: SubqueryScanOp
-    ) -> Optional[Node]:
-        """A copy of ``conj`` with output-column references renamed to the
-        subquery's base attributes, or ``None`` when any reference does not
-        provably map to one."""
-        assert op.pushdown_map is not None
-        rewritten = conj.copy()
-        alias = (op.alias or "").lower()
-        for node in rewritten.walk():
-            if node.label != L.COLUMN:
-                continue
-            name = str(node.value)
-            bare = name
-            if "." in name:
-                qualifier, bare = name.split(".", 1)
-                if qualifier.lower() != alias:
-                    return None
-            inner = op.pushdown_map.get(bare)
-            if inner is None:
-                return None
-            node.value = inner
-        return rewritten
 
     def _plan_scan(
         self,
@@ -987,7 +669,6 @@ class Planner:
             qualifier=qualifier,
             schema=schema,
             column_indices=keep,
-            estimated_rows=float(len(table)),
         )
 
     def _plan_join(self, join: Node, referenced: Optional[tuple[set, set]]) -> PlanOp:
@@ -1011,22 +692,17 @@ class Planner:
         if not keys:
             self.stats.nested_loop_joins_planned += 1
             return NestedLoopJoinOp(
-                left, right, condition, join_type,
-                schema=left.schema + right.schema,
-                estimated_rows=left.estimated_rows * right.estimated_rows,
+                left, right, condition, join_type, schema=left.schema + right.schema
             )
-        left_idx = [k[0] for k in keys]
-        right_idx = [k[1] for k in keys]
         self.stats.hash_joins_planned += 1
         return HashJoinOp(
             left,
             right,
-            left_idx,
-            right_idx,
+            [k[0] for k in keys],
+            [k[1] for k in keys],
             join_type,
             residual=_combine_conjuncts(residual),
             schema=left.schema + right.schema,
-            estimated_rows=self._estimate_join(left, right, left_idx, right_idx),
         )
 
     # -- conjunct classification ---------------------------------------------
@@ -1098,33 +774,6 @@ class Planner:
         if not _hash_compatible(left[li].dtype, right[ri].dtype):
             return None
         return li, ri
-
-    # -- estimates -----------------------------------------------------------
-
-    def _estimate_join(
-        self,
-        left: PlanOp,
-        right: PlanOp,
-        left_idx: list[int],
-        right_idx: list[int],
-    ) -> float:
-        left_distinct = self._key_distinct(left, left_idx)
-        right_distinct = self._key_distinct(right, right_idx)
-        return estimate_equi_join_rows(
-            int(left.estimated_rows), int(right.estimated_rows),
-            left_distinct, right_distinct,
-        )
-
-    def _key_distinct(self, op: PlanOp, key_idx: list[int]) -> Optional[int]:
-        if not isinstance(op, ScanOp) or len(key_idx) != 1 or op.schema is None:
-            return None
-        col = op.schema[key_idx[0]]
-        if col.source is None:
-            return None
-        try:
-            return self.catalog.statistics(col.source).distinct_count
-        except Exception:
-            return None
 
 
 # ---------------------------------------------------------------------------

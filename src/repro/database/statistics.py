@@ -9,7 +9,9 @@ of the paper):
   mapped to a categorical visual variable;
 * uniqueness — used to validate functional-dependency constraints of charts.
 
-The :class:`ColumnStatistics` object caches all three per column.
+The :class:`ColumnStatistics` object caches all three per column.  The query
+planner reads none of them: it joins in FROM order and keeps no row
+estimates.
 """
 
 from __future__ import annotations
@@ -79,48 +81,6 @@ def compute_column_statistics(
         max_value=max(non_null, key=_sort_key) if non_null else None,
         distinct_values=kept,
     )
-
-
-def estimate_equi_join_rows(
-    left_rows: int,
-    right_rows: int,
-    left_distinct: Optional[int] = None,
-    right_distinct: Optional[int] = None,
-) -> float:
-    """Textbook equi-join cardinality estimate ``|L|·|R| / max(V(L,a), V(R,b))``.
-
-    Used by the query planner to annotate hash-join nodes with an estimated
-    output cardinality (surfaced by ``Plan.explain`` and the pipeline's
-    executor diagnostics).  Falls back to the cross-product size when neither
-    side's key cardinality is known.
-    """
-    denom = max(left_distinct or 0, right_distinct or 0)
-    if denom <= 0:
-        return float(left_rows * right_rows)
-    return left_rows * right_rows / denom
-
-
-def estimate_group_count(
-    row_count: int, key_distinct_counts: list
-) -> float:
-    """Estimated output rows of a GROUP BY over ``row_count`` input rows.
-
-    ``key_distinct_counts`` holds one per-key distinct cardinality (``None``
-    when unknown, e.g. a computed grouping expression).  With no keys the
-    query is a pure aggregate and always emits exactly one row; with keys the
-    group count is bounded by both the input size and the product of the key
-    cardinalities.  Used by the planner to annotate aggregate FROM-subquery
-    scans so join ordering sees grouped inputs as the small relations they
-    usually are.
-    """
-    if not key_distinct_counts:
-        return 1.0
-    estimate = 1.0
-    for distinct in key_distinct_counts:
-        if distinct is None or distinct <= 0:
-            return float(row_count)
-        estimate *= distinct
-    return float(min(row_count, estimate))
 
 
 def _sort_key(value: object):

@@ -116,13 +116,12 @@ class InterfaceMapper:
         cost_model: CostModel,
         config: Optional[MapperConfig] = None,
         memo: Optional[MappingMemo] = None,
-        stats: Optional[MapperStats] = None,
     ) -> None:
         self.catalog = catalog
         self.executor = executor
         self.cost_model = cost_model
         self.config = config or MapperConfig()
-        self.stats = stats if stats is not None else MapperStats()
+        self.stats = MapperStats()
         # the memo is partitioned by catalogue object, so a mapper without a
         # catalogue has nothing to key fragments under and runs unmemoized
         if memo is None and self.config.memoize:

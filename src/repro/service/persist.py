@@ -65,7 +65,7 @@ __all__ = ["CACHE_VERSION", "CacheBundle", "CacheStore", "persistence_key"]
 #: function, plan representation, memo key scheme): a version mismatch is a
 #: validated rejection at load time, so stale bundles from older code can
 #: never alias into a newer process.
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 _MAGIC = b"PI2CACHE\x00"
 

@@ -134,108 +134,6 @@ def test_unordered_iteration_pragma_suppresses():
     assert len(suppressed) == 1
 
 
-# -- cache-key-field -----------------------------------------------------------
-
-_EXECUTOR_TEMPLATE = """
-class Planner:
-    def __init__(self, catalog, allow_reorder=True, fold_constants=True):
-        self.allow_reorder = allow_reorder
-        self.fold_constants = fold_constants
-
-
-class Executor:
-    def __init__(self, catalog, allow_reorder=True, fold_constants=True):
-        self.allow_reorder = allow_reorder
-        self.fold_constants = fold_constants
-        self.planner = Planner(
-            catalog,
-            allow_reorder=allow_reorder,
-            fold_constants=fold_constants,
-        )
-
-    def _plan_for(self, stmt):
-        return plan_key(
-            stmt.fingerprint(),
-            self.allow_reorder,
-            self.fold_constants,
-        )
-"""
-
-
-def test_cache_key_fires_on_missing_flag():
-    sources = {
-        "executor.py": _EXECUTOR_TEMPLATE,
-        "plancache.py": """
-        def plan_key(fingerprint, allow_reorder):
-            return (fingerprint, allow_reorder)
-        """,
-    }
-    fired, _ = project_findings(sources, "cache-key-field")
-    assert any("fold_constants" in f.message for f in fired)
-
-
-def test_cache_key_quiet_when_all_flags_threaded():
-    sources = {
-        "executor.py": _EXECUTOR_TEMPLATE,
-        "plancache.py": """
-        def plan_key(fingerprint, allow_reorder, fold_constants):
-            return (fingerprint, allow_reorder, fold_constants)
-        """,
-    }
-    fired, _ = project_findings(sources, "cache-key-field")
-    assert fired == []
-
-
-def test_cache_key_fires_on_incomplete_call_site():
-    sources = {
-        "executor.py": """
-        class Planner:
-            def __init__(self, catalog, allow_reorder=True):
-                self.allow_reorder = allow_reorder
-
-
-        class Executor:
-            def __init__(self, catalog, allow_reorder=True):
-                self.allow_reorder = allow_reorder
-                self.planner = Planner(catalog, allow_reorder=allow_reorder)
-
-            def _plan_for(self, stmt):
-                return plan_key(stmt.fingerprint())
-        """,
-        "plancache.py": """
-        def plan_key(fingerprint, allow_reorder=True):
-            return (fingerprint, allow_reorder)
-        """,
-    }
-    fired, _ = project_findings(sources, "cache-key-field")
-    assert any("call does not thread" in f.message for f in fired)
-
-
-def test_cache_key_pragma_suppresses():
-    sources = {
-        "executor.py": """
-        class Planner:
-            def __init__(self, catalog, debug_trace=False):
-                self.debug_trace = debug_trace
-
-
-        class Executor:
-            def __init__(self, catalog, debug_trace=False):
-                self.debug_trace = debug_trace
-                # tracing changes no compiled artifact, only log volume
-                # repro: allow-cache-key-field -- no effect on plans
-                self.planner = Planner(catalog, debug_trace=debug_trace)
-        """,
-        "plancache.py": """
-        def plan_key(fingerprint):
-            return (fingerprint,)
-        """,
-    }
-    fired, suppressed = project_findings(sources, "cache-key-field")
-    assert fired == []
-    assert len(suppressed) == 1
-
-
 # -- unlocked-shared-mutation --------------------------------------------------
 
 _LOCKED_CLASS = """
@@ -893,12 +791,11 @@ def test_cli_bad_rule_and_missing_paths_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_list_rules_names_all_eight(capsys):
+def test_cli_list_rules_names_all_seven(capsys):
     assert main(["--list-rules"]) == EXIT_CLEAN
     out = capsys.readouterr().out
     for rule in (
         "unordered-iteration",
-        "cache-key-field",
         "unlocked-shared-mutation",
         "unpicklable-worker-state",
         "nondeterministic-key",
@@ -928,30 +825,11 @@ def test_repo_is_clean_under_all_checkers(capsys):
 
 
 def test_real_cross_reference_targets_still_resolve():
-    """The cache-key and pickle-safety passes must keep finding their real
-    anchors — if Executor/plan_key/ServiceWorkerSpec are renamed, the
-    checkers silently checking nothing would be worse than failing."""
+    """The pickle-safety pass must keep finding its real anchor — if
+    ServiceWorkerSpec is renamed, the checker silently checking nothing
+    would be worse than failing."""
     project, errors = build_project([str(REPO_ROOT / "src")])
     assert errors == []
-    from repro.analysis.checkers.cache_key import (
-        _find_class,
-        _find_function,
-        _init_params,
-        _planner_flags,
-    )
-
-    flags = {}
-    key_params: list[str] = []
-    for ctx in project:
-        cls = _find_class(ctx, "Executor")
-        if cls is not None:
-            flags.update(_planner_flags(cls, _init_params(cls)))
-        fn = _find_function(ctx, "plan_key")
-        if fn is not None:
-            key_params = [a.arg for a in fn.args.args]
-    assert set(flags) == {"allow_reorder", "order_insensitive"}
-    assert set(flags) <= set(key_params)
-
     from repro.analysis.checkers.pickle_safety import _ClassIndex
 
     index = _ClassIndex(project)

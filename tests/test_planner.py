@@ -16,7 +16,6 @@ from repro.database import Executor, PlanCache, standard_catalog
 from repro.database.planner import (
     CrossJoinOp,
     HashJoinOp,
-    MapOp,
     NestedLoopJoinOp,
     Planner,
     ScanOp,
@@ -33,6 +32,12 @@ WORKLOAD_QUERIES = [
     for name, workload in sorted(WORKLOADS.items())
     for i, query in enumerate(workload.queries)
 ]
+
+#: a comma join whose larger table comes first in FROM order
+JOIN_SQL = (
+    "SELECT T.p, flights.delay FROM flights, T "
+    "WHERE flights.hour = T.a AND flights.delay > 3"
+)
 
 #: extra join / pushdown shapes not exercised by the logs
 EXTRA_QUERIES = [
@@ -71,13 +76,12 @@ EXTRA_QUERIES = [
     "SELECT p FROM T WHERE a = b",
     # projection pruning with aggregates only
     "SELECT count(*) FROM flights WHERE dist > 500",
-    # ORDER BY over a multi-table comma join: join reordering kicks in and a
-    # MapOp must restore the interpreter's column layout
+    # ORDER BY over a three-table comma join, joined in FROM order
     "SELECT gal.objID, s.ra, t.p FROM galaxy as gal, specObj as s, T as t "
     "WHERE s.bestObjID = gal.objID AND t.p = gal.objID "
     "ORDER BY gal.objID, s.ra, t.p",
-    # single-table conjuncts over a FROM-subquery alias: pushed into the
-    # subquery's own WHERE (ResultColumn.source proves the mapping)
+    # single-table conjuncts over a FROM-subquery alias: filtered directly
+    # above the subquery scan
     "SELECT sub.hour, sub.delay FROM (SELECT hour, delay FROM flights) sub "
     "WHERE sub.delay > 30 AND sub.hour < 5",
     "SELECT h FROM (SELECT hour as h, dist FROM flights) sub "
@@ -85,7 +89,7 @@ EXTRA_QUERIES = [
     # subquery alias joined to a base table through its static schema
     "SELECT sub.id, c.hp FROM (SELECT id, mpg FROM Cars) sub, Cars as c "
     "WHERE sub.id = c.id AND sub.mpg > 20",
-    # LIMIT inside the subquery blocks pushdown (filter does not commute)
+    # LIMIT inside the subquery: the outer filter runs on its truncated rows
     "SELECT v FROM (SELECT hp as v FROM Cars LIMIT 17) sub WHERE v > 100",
     # expression-heavy projection and CASE on the columnar path
     "SELECT hp * 2 + 1, CASE WHEN hp > 120 THEN 'big' ELSE 'small' END "
@@ -116,7 +120,7 @@ EXTRA_QUERIES = [
     "HAVING sum(total) >= (SELECT avg(total) FROM sales)",
     "SELECT origin, count(*) FROM Cars "
     "WHERE hp IN (SELECT hp FROM Cars WHERE mpg > 30) GROUP BY origin",
-    # grouped FROM subquery: static schema, hash join, key-only pushdown
+    # grouped FROM subquery: static schema, hash join, filters above the scan
     "SELECT sub.city, s.total FROM "
     "(SELECT city, sum(total) as t FROM sales GROUP BY city) sub, sales as s "
     "WHERE sub.city = s.city AND s.total > 400",
@@ -155,6 +159,14 @@ EXTRA_QUERIES = [
     # aggregates outside a grouping stage: every row is a one-row group
     "SELECT hp FROM Cars WHERE hp > max(mpg)",
     "SELECT hp FROM Cars WHERE min(hp) > 100",
+    # the larger table first in FROM order, alone and under a LIMIT, which
+    # makes its row order a row-set difference
+    JOIN_SQL,
+    JOIN_SQL + " LIMIT 5",
+    # a FROM subquery over that join under an outer LIMIT
+    f"SELECT p, delay FROM ({JOIN_SQL}) sub LIMIT 5",
+    # a scalar subquery over a join: its value is the join's first row
+    "SELECT p FROM T WHERE a = (SELECT T.a FROM flights, T WHERE flights.hour = T.a)",
 ]
 
 
@@ -413,48 +425,9 @@ def test_plan_stats_are_collected():
     assert ex.stats.plan_cache_hits >= 1
 
 
-def test_orderby_join_chain_is_reordered_with_map_restore():
-    """With ORDER BY fixing the output order, the comma-join chain starts
-    from the smallest estimated input and a MapOp restores the FROM-order
-    column layout above the joins."""
-    plan = plan_for(
-        "SELECT gal.objID, s.ra, t.p FROM galaxy as gal, specObj as s, T as t "
-        "WHERE s.bestObjID = gal.objID AND t.p = gal.objID "
-        "ORDER BY gal.objID, s.ra, t.p"
-    )
-    assert isinstance(plan.source, MapOp)
-    # T is the smallest table, so it must be the deepest-left chain input
-    op = plan.source.child
-    while isinstance(op, HashJoinOp):
-        op = op.left
-    assert isinstance(op, ScanOp) and op.table == "T"
-    # the restored schema matches FROM order: galaxy, specObj, T qualifiers
-    qualifiers = [c.qualifier for c in plan.source.schema]
-    assert qualifiers == sorted(qualifiers, key=["gal", "s", "t"].index)
-
-
-def test_no_orderby_keeps_from_order():
-    plan = plan_for(
-        "SELECT gal.objID, s.ra, t.p FROM galaxy as gal, specObj as s, T as t "
-        "WHERE s.bestObjID = gal.objID AND t.p = gal.objID"
-    )
-    assert not isinstance(plan.source, MapOp)
-
-
-def test_reorder_requires_orderby_to_cover_all_outputs():
-    """ORDER BY over a strict subset of the output columns leaves ties whose
-    order the interpreter's stable sort fixes from FROM order — reordering
-    would be observable, so the pass must not fire."""
-    plan = plan_for(
-        "SELECT gal.objID, s.ra, t.p FROM galaxy as gal, specObj as s, T as t "
-        "WHERE s.bestObjID = gal.objID AND t.p = gal.objID ORDER BY gal.objID"
-    )
-    assert not isinstance(plan.source, MapOp)
-
-
-def test_reorder_tie_order_matches_interpreter():
-    """Regression: tied ORDER BY keys must not expose the reordered join's
-    intermediate row order (LIMIT would even return different rows)."""
+def test_tied_orderby_join_equivalence():
+    """Tied ORDER BY keys keep the join's FROM-order row order, which LIMIT
+    turns into a row-set difference: both engines must agree on it."""
     from repro.database import Catalog, Column, DataType, Table
 
     catalog = Catalog(
@@ -478,7 +451,6 @@ def test_reorder_tie_order_matches_interpreter():
         "SELECT a.v, b.w FROM a, b WHERE a.k = b.k ORDER BY a.v LIMIT 1",
     ):
         assert interpreted.execute_sql(sql).rows == planned.execute_sql(sql).rows, sql
-    assert planned.stats.joins_reordered == 0
 
 
 def test_scalar_function_with_stray_distinct_over_aggregate():
@@ -489,47 +461,6 @@ def test_scalar_function_with_stray_distinct_over_aggregate():
     sql = "SELECT origin, round(DISTINCT sum(hp)) FROM Cars GROUP BY origin"
     assert interpreted.execute_sql(sql).rows == columnar.execute_sql(sql).rows
     assert columnar.stats.columnar_executions == 1
-
-
-def test_reorder_can_be_disabled():
-    planner = Planner(CATALOG, allow_reorder=False)
-    plan = planner.plan(
-        parse(
-            "SELECT gal.objID, t.p FROM galaxy as gal, specObj as s, T as t "
-            "WHERE s.bestObjID = gal.objID AND t.p = gal.objID ORDER BY t.p"
-        )
-    )
-    assert not isinstance(plan.source, MapOp)
-    assert planner.stats.joins_reordered == 0
-
-
-def test_subquery_conjuncts_are_pushed_into_subquery_where():
-    planner = Planner(CATALOG)
-    plan = planner.plan(
-        parse(
-            "SELECT sub.hour FROM (SELECT hour, delay FROM flights) sub "
-            "WHERE sub.delay > 30 AND sub.hour < 5"
-        )
-    )
-    assert planner.stats.subquery_pushdowns == 2
-    scan = plan.source
-    assert isinstance(scan, SubqueryScanOp)
-    assert plan.residual_where is None
-    # the rewritten subquery carries the conjuncts in its own WHERE
-    from repro.sqlparser import to_sql
-
-    inner = to_sql(scan.stmt)
-    assert "delay > 30" in inner and "hour < 5" in inner
-
-
-def test_subquery_pushdown_blocked_by_limit():
-    planner = Planner(CATALOG)
-    plan = planner.plan(
-        parse("SELECT v FROM (SELECT hp as v FROM Cars LIMIT 17) sub WHERE v > 100")
-    )
-    assert planner.stats.subquery_pushdowns == 0
-    # the predicate stays above the subquery scan instead
-    assert not isinstance(plan.source, SubqueryScanOp) or plan.residual_where is not None
 
 
 def test_static_subquery_schema_enables_hash_join():
@@ -556,27 +487,6 @@ def test_uncorrelated_subquery_predicates_stay_columnar():
         assert ex.stats.columnar_executions == executions, sql
 
 
-def test_every_planner_flag_partitions_the_plan_cache():
-    """Dynamic counterpart of the `cache-key-field` static rule: executors
-    differing in any single planner flag never exchange cached plans."""
-    sql = (
-        "SELECT a.total FROM sales as a, sales as b "
-        "WHERE a.product = b.product ORDER BY a.total"
-    )
-    base = dict(allow_reorder=True, order_insensitive=False)
-    for flag in sorted(base):
-        cache = PlanCache()
-        flipped = dict(base)
-        flipped[flag] = not flipped[flag]
-        first = Executor(CATALOG, enable_cache=False, plan_cache=cache, **base)
-        second = Executor(CATALOG, enable_cache=False, plan_cache=cache, **flipped)
-        first.execute_sql(sql)
-        second.execute_sql(sql)
-        # a shared key would let the second executor hit the first's plan
-        assert second.stats.plans_compiled > 0, flag
-        assert cache.size(CATALOG) == first.stats.plans_compiled + second.stats.plans_compiled, flag
-
-
 def test_grouped_subquery_gets_static_schema_and_hash_join():
     """Aggregate / GROUP BY FROM subqueries now derive their schema
     statically, so they participate in hash joins like a base scan."""
@@ -591,32 +501,6 @@ def test_grouped_subquery_gets_static_schema_and_hash_join():
     names = [c.name for c in sub.schema]
     assert names == ["city", "t"]
     assert sub.schema[1].is_aggregate is True
-    # group count estimate: bounded by the key's distinct cardinality
-    assert 0 < sub.estimated_rows <= len(CATALOG.table("sales"))
-
-
-def test_grouped_subquery_pushdown_is_restricted_to_group_keys():
-    """Predicates on GROUP BY key outputs are rewritten into the subquery's
-    WHERE; predicates on aggregate outputs must stay above the grouping."""
-    planner = Planner(CATALOG)
-    plan = planner.plan(
-        parse(
-            "SELECT city, t FROM "
-            "(SELECT city, sum(total) as t FROM sales GROUP BY city) sub "
-            "WHERE city LIKE '%a%' AND t > 0"
-        )
-    )
-    assert planner.stats.subquery_pushdowns == 1
-    from repro.sqlparser import to_sql
-
-    # the key conjunct moved into the inner WHERE; the aggregate conjunct
-    # stayed outside as a filter above the subquery scan
-    from repro.database.planner import FilterOp
-
-    assert isinstance(plan.source, FilterOp)
-    assert "t > 0" in " AND ".join(to_sql(p) for p in plan.source.predicates)
-    inner = to_sql(plan.source.child.stmt)
-    assert "LIKE" in inner and "t > 0" not in inner
 
 
 def test_nan_join_keys_never_match():

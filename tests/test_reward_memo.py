@@ -1,5 +1,5 @@
 """The reward memoization subsystem: mapping-fragment memo, reward-cache
-seeding, and the order-insensitive planner opt-in.
+seeding, and the one executor the reward loop shares with the final mapping.
 
 The load-bearing guarantee is *behavioural transparency*: a memoized pipeline
 must produce byte-identical interfaces and rewards to a memo-disabled one,
@@ -219,70 +219,30 @@ def test_adopted_seed_does_not_count_as_evaluation():
     assert worker.stats.rewards_seeded == 1
 
 
-# -- order-insensitive reordering opt-in ---------------------------------------
+# -- one executor for the reward loop and the final mapping ---------------------
 
 
-#: the larger table first in FROM order, so the greedy smallest-input-first
-#: pass genuinely changes the join order once the opt-in unlocks it
-JOIN_SQL = (
-    "SELECT T.p, flights.delay FROM flights, T "
-    "WHERE flights.hour = T.a AND flights.delay > 3"
-)
-
-
-def test_order_insensitive_extends_reordering_past_orderby_gate():
-    catalog = standard_catalog(seed=7, scale=0.12)
-    strict = Executor(catalog)
-    relaxed = Executor(catalog, order_insensitive=True, stats=strict.stats)
-
-    reordered_before = strict.stats.joins_reordered
-    strict_result = strict.execute_sql(JOIN_SQL)
-    assert strict.stats.joins_reordered == reordered_before  # ORDER-BY gated
-
-    relaxed_result = relaxed.execute_sql(JOIN_SQL)
-    assert relaxed.stats.joins_reordered > reordered_before
-
-    # identical multiset of rows, identical schema — only row order may differ
-    assert [c.name for c in strict_result.columns] == [
-        c.name for c in relaxed_result.columns
-    ]
-    assert sorted(map(repr, strict_result.rows)) == sorted(
-        map(repr, relaxed_result.rows)
+def test_sales_generation_runs_each_distinct_statement_once():
+    """The reward loop, the search's transforms and the final Algorithm-1
+    mapping share one executor, so a generation over the Sales log misses
+    its result cache once per distinct statement (6)."""
+    config = PipelineConfig(
+        search=SearchConfig(
+            max_iterations=48,
+            early_stop=16,
+            workers=1,
+            sync_interval=8,
+            rollout_depth=12,
+            reward_mappings=2,
+            seed=42,
+        ),
+        mapper=MapperConfig(
+            top_k=5, max_vis_per_tree=3, max_joint_vis=8, max_searchm_calls=1500
+        ),
+        catalog_scale=0.3,
+        seed=42,
     )
-
-
-def test_order_insensitive_keeps_limit_queries_gated():
-    catalog = standard_catalog(seed=7, scale=0.12)
-    relaxed = Executor(catalog, order_insensitive=True)
-    strict = Executor(catalog)
-    sql = JOIN_SQL + " LIMIT 5"
-    before = relaxed.stats.joins_reordered
-    relaxed_result = relaxed.execute_sql(sql)
-    assert relaxed.stats.joins_reordered == before  # LIMIT blocks the opt-in
-    assert relaxed_result.rows == strict.execute_sql(sql).rows
-
-
-def test_from_subqueries_keep_order_under_outer_limit():
-    """A FROM subquery executes as its own statement without a LIMIT of its
-    own, but the *outer* LIMIT makes its row order observable as a row-set
-    difference — nested statements must always plan with FROM order fixed."""
-    catalog = standard_catalog(seed=7, scale=0.12)
-    relaxed = Executor(catalog, order_insensitive=True)
-    strict = Executor(catalog)
-    sql = f"SELECT p, delay FROM ({JOIN_SQL}) sub LIMIT 5"
-    assert relaxed.execute_sql(sql).rows == strict.execute_sql(sql).rows
-
-
-def test_scalar_subqueries_keep_from_order_under_order_insensitive():
-    """A scalar subquery's value is its first row: nested statements must not
-    reorder even when the executor is order-insensitive."""
-    catalog = standard_catalog(seed=7, scale=0.12)
-    relaxed = Executor(catalog, order_insensitive=True)
-    strict = Executor(catalog)
-    # the inner join would reorder at top level (larger table first); as a
-    # scalar subquery its first row is observable, so it must keep FROM order
-    sql = (
-        "SELECT p FROM T WHERE a = "
-        "(SELECT T.a FROM flights, T WHERE flights.hour = T.a)"
-    )
-    assert relaxed.execute_sql(sql).rows == strict.execute_sql(sql).rows
+    result = generate_for_workload("sales", config=config)
+    assert len(set(WORKLOADS["sales"].queries)) == 6
+    assert result.executor_stats.result_cache_misses == 6
+    assert result.interface.cost.total == pytest.approx(808.142040, abs=1e-6)
