@@ -10,6 +10,9 @@ series the paper reports and asserts that the qualitative shape holds.
 from __future__ import annotations
 
 import json
+import os
+import platform
+import subprocess
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,7 +31,7 @@ BENCH_SCALE = 0.15
 
 #: Format version of the ``BENCH_*.json`` perf-trajectory artifacts; bump
 #: when the schema block or the meaning of stamped fields changes.
-BENCH_SCHEMA_VERSION = 1
+BENCH_SCHEMA_VERSION = 2
 
 #: Repo root — every ``BENCH_*.json`` lands here so CI's artifact glob
 #: (``BENCH_*.json``) picks all of them up without per-benchmark wiring.
@@ -46,10 +49,12 @@ def write_bench_json(
 
     Replaces the per-benchmark copy-pasted writers: every artifact opens
     with the same ``schema`` header — format version, bench name, the units
-    measured values are in, and the thresholds the benchmark asserts
-    (``required``) — so downstream perf tracking can parse any artifact
-    without knowing which benchmark wrote it.  The measured ``payload``
-    follows verbatim.
+    measured values are in, the thresholds the benchmark asserts
+    (``required``), and the machine facts a number needs to be compared:
+    the git commit (``null`` outside a checkout), the Python version and
+    the cores this process may run on — so downstream perf tracking can
+    parse any artifact without knowing which benchmark wrote it.  The
+    measured ``payload`` follows verbatim.
     """
     target = BENCH_ROOT / f"BENCH_{bench}.json"
     doc = {
@@ -58,12 +63,32 @@ def write_bench_json(
             "bench": bench,
             "units": units,
             "required": dict(required or {}),
+            "commit": _git_commit(),
+            "python": platform.python_version(),
+            "usable_cores": len(os.sched_getaffinity(0)),
         },
     }
     doc.update(payload)
     target.write_text(json.dumps(doc, indent=2) + "\n")
     print(f"wrote {target.name}")
     return target
+
+
+def _git_commit() -> str | None:
+    """``git rev-parse HEAD`` of the repo, or ``None`` when unavailable."""
+    try:
+        done = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=BENCH_ROOT,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    if done.returncode != 0:
+        return None
+    return done.stdout.strip() or None
 
 
 def bench_config(

@@ -21,7 +21,7 @@ import time
 
 from conftest import print_table
 
-from repro.database import Executor, PlanCache
+from repro.database import CatalogCache, Executor
 from repro.database.datasets import standard_catalog
 
 SCALES = [1.0, 2.0, 4.0]
@@ -57,7 +57,7 @@ WORKLOAD_SHAPES = {
 def _executors(catalog):
     """The interpreter and a columnar executor on a private plan cache."""
     interp = Executor(catalog, enable_cache=False, use_planner=False)
-    col = Executor(catalog, enable_cache=False, plan_cache=PlanCache())
+    col = Executor(catalog, enable_cache=False, plan_cache=CatalogCache())
     return interp, col
 
 
@@ -128,13 +128,14 @@ def test_columnar_stats_show_vectorized_execution():
 def test_shared_plan_cache_amortises_planning_across_executors():
     """Ten executors over one catalogue compile each query exactly once."""
     catalog = standard_catalog(seed=42, scale=1.0)
-    plans = PlanCache()
+    plans = CatalogCache()
     queries = WORKLOAD_SHAPES["aggregate"]
-    compiled = 0
+    compiled = hits = 0
     for _ in range(10):
         ex = Executor(catalog, enable_cache=False, plan_cache=plans)
         for sql in queries:
             ex.execute_sql(sql)
         compiled += ex.stats.plans_compiled
+        hits += ex.stats.plan_cache_hits
     assert compiled == len(queries)
-    assert plans.info()["hits"] == 9 * len(queries)
+    assert hits == 9 * len(queries)

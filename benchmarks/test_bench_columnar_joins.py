@@ -24,7 +24,7 @@ import time
 
 from conftest import print_table, write_bench_json
 
-from repro.database import Executor, PlanCache
+from repro.database import CatalogCache, Executor
 from repro.database.datasets import standard_catalog
 
 SCALE = 4.0
@@ -53,7 +53,7 @@ WORKLOAD = {
 def _executors(catalog):
     """The interpreter and a columnar executor on a private plan cache."""
     interp = Executor(catalog, enable_cache=False, use_planner=False)
-    col = Executor(catalog, enable_cache=False, plan_cache=PlanCache())
+    col = Executor(catalog, enable_cache=False, plan_cache=CatalogCache())
     return interp, col
 
 

@@ -12,7 +12,6 @@ import pytest
 from conftest import bench_config, print_table, run_workload
 
 from repro.taxonomy import DATA_CATEGORIES, classify_interface
-from repro.workloads import WORKLOADS
 
 FIG14_WORKLOADS = ["explore", "abstract", "connect", "filter"]
 

@@ -30,7 +30,7 @@ from conftest import print_table, write_bench_json
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import best_interface_cost, generate_for_workload
 from repro.cost.model import CostModel
-from repro.database import Executor, PlanCache, standard_catalog
+from repro.database import CatalogCache, Executor, standard_catalog
 from repro.difftree.builder import (
     cluster_by_result_schema,
     initial_difftrees,
@@ -38,7 +38,6 @@ from repro.difftree.builder import (
     parse_queries,
 )
 from repro.mapping.mapper import InterfaceMapper, MapperConfig
-from repro.mapping.memo import MappingMemo
 from repro.search.config import SearchConfig
 from repro.search.state import SearchState
 from repro.transform.engine import TransformEngine
@@ -91,7 +90,7 @@ def _state_pool(workload: str, catalog, executor):
 def _evaluate_pool(catalog, plan_cache, asts, states, memoize: bool):
     """Reward-evaluate every state ``PASSES`` times; returns metrics."""
     executor = Executor(catalog, plan_cache=plan_cache)
-    memo = MappingMemo() if memoize else None
+    memo = CatalogCache() if memoize else None
     mapper = InterfaceMapper(
         catalog,
         executor,
@@ -132,7 +131,7 @@ def test_reward_memo_states_per_second():
             # delta is the mapping memo alone.  The seeded pool construction
             # is deterministic, so both modes evaluate identical states.
             catalog = standard_catalog(seed=42, scale=CATALOG_SCALE)
-            plan_cache = PlanCache()
+            plan_cache = CatalogCache()
             setup_executor = Executor(catalog, plan_cache=plan_cache)
             asts, states = _state_pool(workload, catalog, setup_executor)
             pool_size = len(states)

@@ -9,7 +9,7 @@ growth stays clearly sub-quadratic, printing the series the paper plots.
 import time
 
 import pytest
-from conftest import BENCH_SCALE, bench_config, print_table
+from conftest import bench_config, print_table
 
 from repro.core.pipeline import generate_interface
 from repro.workloads import WORKLOADS, scale_workload

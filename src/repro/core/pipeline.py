@@ -31,7 +31,7 @@ from ..cost.model import CostModel
 from ..database.catalog import Catalog
 from ..database.datasets import standard_catalog
 from ..database.executor import Executor
-from ..database.plancache import SHARED_PLAN_CACHE
+from ..database.plancache import SHARED_PLAN_CACHE, CatalogCache
 from ..difftree.builder import (
     cluster_by_result_schema,
     initial_difftrees,
@@ -40,11 +40,9 @@ from ..difftree.builder import (
 )
 from ..interface.spec import Interface
 from ..mapping.mapper import InterfaceMapper
-from ..mapping.memo import SHARED_MAPPING_MEMO, MappingMemo
+from ..mapping.memo import SHARED_MAPPING_MEMO
 from ..obs import (
-    GLOBAL_METRICS,
     MetricsRegistry,
-    publish_cache_info,
     publish_mapper_stats,
     publish_plan_stats,
     publish_search_stats,
@@ -92,7 +90,7 @@ class RewardSetup:
     executor: Executor
     cost_model: CostModel
     mapper: InterfaceMapper
-    memo: Optional[MappingMemo]
+    memo: Optional[CatalogCache]
 
 
 def build_reward_setup(
@@ -271,8 +269,6 @@ def generate_interface(
         return parallel_search(
             trees,
             config=config.search,
-            executor=executor,
-            mapping_memo=setup.memo,
             engine_factory=engine_factory,
             reward_factory=reward_factory,
             reward_table=reward_table,
@@ -343,14 +339,11 @@ def generate_interface(
 
     # publish every stats sink into the run's unified registry (the stats
     # dataclasses are views over it — repro.obs.views declares the total
-    # field maps) and fold it into the process-lifetime accumulator
+    # field maps); its counters are this run's alone
     registry = MetricsRegistry()
     publish_search_stats(result.stats, registry)
     publish_plan_stats(executor.stats, registry)
     publish_mapper_stats(mapper.stats, registry)
-    publish_cache_info(result.stats.plan_cache, registry, "cache.plan")
-    publish_cache_info(result.stats.mapping_memo, registry, "cache.memo")
-    publish_cache_info(result.stats.reward_table, registry, "cache.rewards")
     if cache_store is not None:
         registry.counter("persist.loads").inc(cache_store.loads)
         registry.counter("persist.misses").inc(
@@ -363,7 +356,6 @@ def generate_interface(
         # the one-shot pool's supervision counters (worker failures,
         # replacements, task replays); the service reports its own pool's
         registry.merge(pool.supervisor.snapshot())
-    GLOBAL_METRICS.merge(registry.snapshot())
 
     return PipelineResult(
         interface=interface,

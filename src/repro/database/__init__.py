@@ -20,7 +20,7 @@ from .datasets import (
 from .columnar import ColumnarRelation
 from .executor import ExecutionError, Executor
 from .functions import TODAY, function_return_type, is_aggregate
-from .plancache import SHARED_PLAN_CACHE, PlanCache
+from .plancache import SHARED_PLAN_CACHE, CatalogCache
 from .planner import Plan, Planner, PlanningError, PlanStats
 from .statistics import (
     CATEGORICAL_CARDINALITY_THRESHOLD,
@@ -33,6 +33,7 @@ from .types import DataType, infer_value_type, looks_like_date, unify_all, unify
 __all__ = [
     "CATEGORICAL_CARDINALITY_THRESHOLD",
     "Catalog",
+    "CatalogCache",
     "CatalogError",
     "Column",
     "ColumnStatistics",
@@ -41,7 +42,6 @@ __all__ = [
     "ExecutionError",
     "Executor",
     "Plan",
-    "PlanCache",
     "PlanStats",
     "Planner",
     "PlanningError",

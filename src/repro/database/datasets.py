@@ -17,7 +17,6 @@ from __future__ import annotations
 import datetime as _dt
 import math
 import random
-from typing import Optional
 
 from .catalog import Catalog
 from .functions import TODAY

@@ -58,7 +58,7 @@ from .functions import (
     SCALAR_FUNCTIONS,
     is_aggregate,
 )
-from .plancache import SHARED_PLAN_CACHE, PlanCache
+from .plancache import SHARED_PLAN_CACHE, CatalogCache
 from .planner import Plan, Planner, PlanStats, contains_aggregate
 from .table import RelColumn, Relation, ResultColumn, ResultTable
 from .types import DataType, aggregate_result_type, infer_value_type, unify_all
@@ -120,7 +120,7 @@ class Executor:
         plan_cache: compiled-plan cache; defaults to the process-wide
             :data:`~repro.database.plancache.SHARED_PLAN_CACHE` so executors
             over the same catalogue share one compiled plan set.  Pass a
-            private :class:`~repro.database.plancache.PlanCache` to isolate
+            private :class:`~repro.database.plancache.CatalogCache` to isolate
             an executor (e.g. when benchmarking plan compilation itself).
     """
 
@@ -130,7 +130,7 @@ class Executor:
         enable_cache: bool = True,
         use_planner: bool = True,
         cache_size: int = 1024,
-        plan_cache: Optional[PlanCache] = None,
+        plan_cache: Optional[CatalogCache] = None,
     ) -> None:
         self.catalog = catalog
         self.enable_cache = enable_cache
@@ -211,8 +211,8 @@ class Executor:
 
     def _plan_for(self, stmt: Node) -> Plan:
         key = stmt.fingerprint()
-        plan = self.plan_cache.get(self.catalog, key)
-        if plan is not None:
+        hit, plan = self.plan_cache.lookup(self.catalog, key)
+        if hit:
             self.stats.plan_cache_hits += 1
             return plan
         with span("executor.plan"):

@@ -1,19 +1,24 @@
-"""A process-wide compiled-plan cache shared across :class:`Executor` instances.
+"""The process-wide per-catalogue caches: compiled plans and mapping fragments.
 
-The MCTS reward loop and the benchmark harnesses build many executors over
-the same catalogue and replay the same workload-log queries through each of
-them; before this cache every executor recompiled every plan from scratch.
-The cache is keyed per *catalogue object* (plans embed column indices and
-schemas, so they are only valid for the catalogue they were planned against)
-and, within a catalogue, by statement fingerprint: the planner has no
-options, so a statement has exactly one plan.
+:class:`CatalogCache` is one LRU key→value cache partitioned by *catalogue
+object*.  Two instances serve the two levels of the cache hierarchy:
+
+* :data:`SHARED_PLAN_CACHE` holds compiled plans keyed by statement
+  fingerprint (the planner has no options, so a statement has exactly one
+  plan).  Plans embed column indices and schemas, so they are only valid for
+  the catalogue they were planned against.
+* :data:`repro.mapping.memo.SHARED_MAPPING_MEMO` holds mapping fragments
+  keyed by tree identity (see that module).
 
 Catalogue entries are held through weak references: dropping the last strong
-reference to a catalogue frees its cached plans, and — critically — a new
-catalogue allocated at a recycled ``id()`` can never observe stale plans.
+reference to a catalogue frees its entries, and — critically — a new
+catalogue allocated at a recycled ``id()`` can never observe stale ones.
 
-The cache is thread-safe (one lock around the LRU bookkeeping) so future
-multi-threaded search workers can share it without coordination.
+The caches count nothing themselves: each lookup is counted once, by the
+stats object of the run that made it (``PlanStats.plan_cache_hits`` /
+``plans_compiled``, ``MapperStats.memo_hits`` / ``memo_misses``).  One lock
+guards the LRU bookkeeping; the ``unlocked-shared-mutation`` rule of
+``repro.analysis`` statically requires every mutation to hold it.
 """
 
 from __future__ import annotations
@@ -27,106 +32,107 @@ from ..obs import span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .catalog import Catalog
-    from .planner import Plan
+
+_MISSING = object()
 
 
-class PlanCache:
-    """LRU fingerprint→plan cache, partitioned by catalogue identity."""
+class CatalogCache:
+    """LRU key→value cache, partitioned by catalogue identity.
 
-    def __init__(self, max_size_per_catalog: int = 4096) -> None:
+    ``name`` labels the cache's import span (``persist.import_<name>``).
+    ``persistable_kinds``, when given, restricts export and import to tuple
+    keys whose first element is one of the kinds; every other key (e.g. one
+    smuggled into a tampered cache file) is neither exported nor imported.
+    """
+
+    def __init__(
+        self,
+        name: str = "cache",
+        max_size_per_catalog: int = 16384,
+        persistable_kinds: Optional[frozenset] = None,
+    ) -> None:
+        self.name = name
         self.max_size = max(1, max_size_per_catalog)
+        self.persistable_kinds = persistable_kinds
         self._by_catalog: "weakref.WeakKeyDictionary[Catalog, OrderedDict]" = (
             weakref.WeakKeyDictionary()
         )
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
 
-    def get(self, catalog: "Catalog", key: Hashable) -> Optional["Plan"]:
+    def lookup(self, catalog: "Catalog", key: Hashable) -> tuple[bool, object]:
+        """``(hit, value)`` — a cached value may legitimately be ``None``."""
         with self._lock:
-            plans = self._by_catalog.get(catalog)
-            if plans is None:
-                self.misses += 1
-                return None
-            plan = plans.get(key)
-            if plan is None:
-                self.misses += 1
-                return None
-            plans.move_to_end(key)
-            self.hits += 1
-            return plan
+            entries = self._by_catalog.get(catalog)
+            value = _MISSING if entries is None else entries.get(key, _MISSING)
+            if value is _MISSING:
+                return False, None
+            entries.move_to_end(key)
+            return True, value
 
-    def put(self, catalog: "Catalog", key: Hashable, plan: "Plan") -> None:
+    def put(self, catalog: "Catalog", key: Hashable, value: object) -> None:
         with self._lock:
-            plans = self._by_catalog.get(catalog)
-            if plans is None:
-                plans = OrderedDict()
-                self._by_catalog[catalog] = plans
-            plans[key] = plan
-            plans.move_to_end(key)
-            while len(plans) > self.max_size:
-                plans.popitem(last=False)
+            entries = self._by_catalog.get(catalog)
+            if entries is None:
+                entries = self._by_catalog[catalog] = OrderedDict()
+            entries[key] = value
+            entries.move_to_end(key)
+            while len(entries) > self.max_size:
+                entries.popitem(last=False)
 
-    def clear(self, catalog: Optional["Catalog"] = None) -> None:
-        """Drop cached plans for one catalogue, or for all of them."""
+    def clear(self, catalog: "Catalog") -> None:
+        """Drop the entries of one catalogue."""
         with self._lock:
-            if catalog is None:
-                self._by_catalog = weakref.WeakKeyDictionary()
-            else:
-                self._by_catalog.pop(catalog, None)
+            self._by_catalog.pop(catalog, None)
 
     def size(self, catalog: Optional["Catalog"] = None) -> int:
         with self._lock:
             if catalog is not None:
                 return len(self._by_catalog.get(catalog) or ())
-            return sum(len(p) for p in self._by_catalog.values())
+            return sum(len(e) for e in self._by_catalog.values())
 
-    def info(self) -> dict:
-        with self._lock:
-            return {
-                "catalogs": len(self._by_catalog),
-                "plans": sum(len(p) for p in self._by_catalog.values()),
-                "hits": self.hits,
-                "misses": self.misses,
-            }
+    def _persistable(self, key: Hashable) -> bool:
+        kinds = self.persistable_kinds
+        return kinds is None or (isinstance(key, tuple) and bool(key) and key[0] in kinds)
 
     def export_entries(self, catalog: "Catalog") -> list[tuple]:
-        """The catalogue's ``(fingerprint, plan)`` pairs, LRU order (for
-        persistence).
+        """The catalogue's persistable ``(key, value)`` pairs, LRU order.
 
-        Plans reference tables by *name* and embed only column positions and
-        schemas of the catalogue's tables, so entries exported here are
-        valid for — and may be :meth:`import_entries`-ed into — any
-        catalogue with the same content fingerprint (see
-        :mod:`repro.service.fingerprint`).
+        Plans reference tables by *name* and fragments are keyed by
+        structural fingerprints plus node ids that travel with the trees, so
+        entries exported here are valid for — and may be
+        :meth:`import_entries`-ed into — any catalogue with the same content
+        fingerprint (see :mod:`repro.service.fingerprint`).
         """
         with self._lock:
-            plans = self._by_catalog.get(catalog)
-            return list(plans.items()) if plans else []
+            entries = self._by_catalog.get(catalog)
+            if not entries:
+                return []
+            return [(key, value) for key, value in entries.items() if self._persistable(key)]
 
     def import_entries(self, catalog: "Catalog", entries: list[tuple]) -> int:
         """Plant exported entries for a same-fingerprint catalogue.
 
         Existing keys are kept (the live entry is never older than the
-        persisted one); returns the number of entries actually added.
+        persisted one) and non-persistable keys are dropped; returns the
+        number of entries actually added.
         """
         added = 0
-        with span("persist.import_plans", entries=len(entries)):
+        with span(f"persist.import_{self.name}", entries=len(entries)):
             with self._lock:
-                plans = self._by_catalog.get(catalog)
-                if plans is None:
-                    plans = OrderedDict()
-                    self._by_catalog[catalog] = plans
-                for key, plan in entries:
-                    if key not in plans:
-                        plans[key] = plan
+                live = self._by_catalog.get(catalog)
+                if live is None:
+                    live = self._by_catalog[catalog] = OrderedDict()
+                for key, value in entries:
+                    if self._persistable(key) and key not in live:
+                        live[key] = value
                         added += 1
-                while len(plans) > self.max_size:
-                    plans.popitem(last=False)
+                while len(live) > self.max_size:
+                    live.popitem(last=False)
         return added
 
 
-#: The process-wide cache used by every :class:`Executor` unless a private
-#: one is passed in.  All MCTS workers, the interface runtime, and benchmark
-#: executors built over the same catalogue reuse one compiled plan set.
-SHARED_PLAN_CACHE = PlanCache()
+#: The process-wide plan cache used by every :class:`Executor` unless a
+#: private one is passed in.  All MCTS workers, the interface runtime, and
+#: benchmark executors built over the same catalogue reuse one compiled plan
+#: set.
+SHARED_PLAN_CACHE = CatalogCache("plans", max_size_per_catalog=4096)

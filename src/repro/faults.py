@@ -267,14 +267,7 @@ def fire(site: str, worker: Optional[int] = None) -> Optional[FaultSpec]:
     """
     if _plan is None:
         return None
-    spec = _plan.fire(site, worker)
-    if spec is not None:
-        # record the injection where the recovery it forces will also be
-        # visible (service.* / pool.* counters)
-        from .obs import GLOBAL_METRICS
-
-        GLOBAL_METRICS.counter(f"faults.fired.{site}").inc()
-    return spec
+    return _plan.fire(site, worker)
 
 
 def maybe_kill(site: str, worker: Optional[int] = None) -> None:

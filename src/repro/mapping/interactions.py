@@ -22,15 +22,13 @@ from typing import Optional, Sequence
 
 from ..database.catalog import Catalog
 from ..database.executor import Executor
-from ..difftree.nodes import AnyNode, ChoiceNode, OptNode, ValNode
+from ..difftree.nodes import AnyNode, OptNode, ValNode
 from ..difftree.schema import (
-    OptExpr,
     SchemaExpr,
     TupleSchema,
     TypeExpr,
 )
 from ..difftree.tree import Difftree
-from ..difftree.types import PiType
 from ..sqlparser.ast_nodes import L, Node
 from .visualization import VisMapping
 from .widgets import _choice_cover  # shared helper

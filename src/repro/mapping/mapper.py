@@ -29,8 +29,8 @@ from typing import TYPE_CHECKING
 
 from ..database.catalog import Catalog
 from ..database.executor import Executor
+from ..database.plancache import CatalogCache
 from ..obs import span
-from ..difftree.nodes import ChoiceNode
 from ..difftree.tree import Difftree
 from ..interface.spec import (
     AppliedInteraction,
@@ -46,7 +46,7 @@ from .interactions import (
     pair_interaction_fragments,
 )
 from .layout import LayoutLeaf, LayoutTree, build_layout_tree, optimize_layout
-from .memo import SHARED_MAPPING_MEMO, MappingMemo
+from .memo import SHARED_MAPPING_MEMO
 from .visualization import VIS_TYPES, VisMapping, candidate_visualizations
 from .widgets import WIDGET_TYPES, WidgetCandidate, candidate_widgets
 
@@ -115,7 +115,7 @@ class InterfaceMapper:
         executor: Optional[Executor],
         cost_model: CostModel,
         config: Optional[MapperConfig] = None,
-        memo: Optional[MappingMemo] = None,
+        memo: Optional[CatalogCache] = None,
     ) -> None:
         self.catalog = catalog
         self.executor = executor

@@ -28,7 +28,6 @@ from ..difftree.nodes import (
 )
 from ..difftree.schema import (
     OptExpr,
-    OrExpr,
     RepExpr,
     SchemaExpr,
     TupleSchema,

@@ -23,7 +23,7 @@ from .export import (
     write_chrome_trace,
     write_jsonl,
 )
-from .metrics import GLOBAL_METRICS, Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .trace import TRACE_ENV_VAR, TRACER, SpanEvent, Tracer, span, trace_enabled
 from .views import (
     DETERMINISTIC_SEARCH_METRICS,
@@ -34,7 +34,6 @@ from .views import (
     SEARCH_STATS_COUNTERS,
     SEARCH_STATS_EXEMPT,
     SEARCH_STATS_GAUGES,
-    publish_cache_info,
     publish_mapper_stats,
     publish_plan_stats,
     publish_request_stats,
@@ -54,7 +53,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "GLOBAL_METRICS",
     "DETERMINISTIC_SEARCH_METRICS",
     "SEARCH_STATS_COUNTERS",
     "SEARCH_STATS_GAUGES",
@@ -68,7 +66,6 @@ __all__ = [
     "publish_plan_stats",
     "publish_mapper_stats",
     "publish_request_stats",
-    "publish_cache_info",
     "worker_metrics_snapshot",
     "PHASES",
     "span_phase",

@@ -120,42 +120,41 @@ def phase_attribution(events: list[SpanEvent]) -> dict:
     return totals
 
 
+#: ``repro stats`` hit-rate rows: (row, hits counter, misses counter), all
+#: counters the run itself published; a plan-cache miss is a compile and a
+#: reward-table miss is an evaluation
+CACHE_ROWS = (
+    ("plan", "executor.plan_cache_hits", "executor.plans_compiled"),
+    ("memo", "mapping.memo_hits", "mapping.memo_misses"),
+    ("rewards", "search.reward_table_hits", "search.states_evaluated"),
+    ("persisted", "persist.loads", "persist.misses"),
+)
+
+
 def cache_hit_rates(metrics: dict) -> list[dict]:
-    """Hit-rate rows for every ``cache.<name>.{hits,misses}`` counter pair.
+    """Hit-rate rows built from the run's own counters (:data:`CACHE_ROWS`).
 
     ``metrics`` is a flat ``{name: value}`` dict (``MetricsRegistry.as_dict``
-    shape).  Also surfaces the persisted-cache load counters
-    (``persist.loads`` vs ``persist.misses``) when present.
+    shape).  A row appears when either of its counters is present; process
+    workers' ``workers.``-prefixed twins get ``workers.<row>`` rows.
     """
     rows = []
-    prefixes = set()
-    for name in metrics:
-        if name.startswith("cache.") and name.endswith((".hits", ".misses")):
-            prefixes.add(name.rsplit(".", 1)[0])
-    for prefix in sorted(prefixes):
-        hits = int(metrics.get(f"{prefix}.hits", 0) or 0)
-        misses = int(metrics.get(f"{prefix}.misses", 0) or 0)
-        total = hits + misses
-        rows.append(
-            {
-                "cache": prefix[len("cache."):],
-                "hits": hits,
-                "misses": misses,
-                "rate": (hits / total) if total else None,
-            }
-        )
-    loads = int(metrics.get("persist.loads", 0) or 0)
-    load_misses = int(metrics.get("persist.misses", 0) or 0)
-    if loads or load_misses:
-        total = loads + load_misses
-        rows.append(
-            {
-                "cache": "persisted",
-                "hits": loads,
-                "misses": load_misses,
-                "rate": (loads / total) if total else None,
-            }
-        )
+    for prefix in ("", "workers."):
+        for cache, hits_name, misses_name in CACHE_ROWS:
+            hits_name, misses_name = prefix + hits_name, prefix + misses_name
+            if hits_name not in metrics and misses_name not in metrics:
+                continue
+            hits = int(metrics.get(hits_name, 0) or 0)
+            misses = int(metrics.get(misses_name, 0) or 0)
+            total = hits + misses
+            rows.append(
+                {
+                    "cache": prefix + cache,
+                    "hits": hits,
+                    "misses": misses,
+                    "rate": (hits / total) if total else None,
+                }
+            )
     return rows
 
 

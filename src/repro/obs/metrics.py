@@ -1,7 +1,7 @@
 """The unified metrics registry: named counters, gauges and histograms.
 
 One :class:`MetricsRegistry` holds every metric of a pipeline run under a
-dotted namespace (``search.*``, ``executor.*``, ``mapping.*``, ``cache.*``,
+dotted namespace (``search.*``, ``executor.*``, ``mapping.*``, ``pool.*``,
 ``service.*``, ``persist.*``, ``workers.*``).  The scattered stats
 dataclasses (``PlanStats``, ``SearchStats``, ``RequestStats``,
 ``MapperStats``) remain the *collection* surface — they are cheap,
@@ -29,7 +29,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "GLOBAL_METRICS",
 ]
 
 
@@ -231,13 +230,3 @@ class MetricsRegistry:
                         hist.vmax = vmax
             else:  # pragma: no cover - forward compatibility
                 raise ValueError(f"unknown metric kind {kind!r} for {name!r}")
-
-    def clear(self) -> None:
-        with self._lock:
-            self._metrics = {}
-
-
-#: Process-lifetime accumulator: every pipeline run merges its per-run
-#: registry snapshot here, so a long-lived generation service exposes
-#: totals across all requests it served.
-GLOBAL_METRICS = MetricsRegistry()

@@ -40,7 +40,6 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Optional
 
 __all__ = ["SpanEvent", "Tracer", "TRACER", "span", "trace_enabled"]
 

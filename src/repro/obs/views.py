@@ -4,7 +4,10 @@
 the in-band collection surface (lock-free field bumps on hot paths, already
 pickled through the sync protocols); this module is the single place that
 maps every one of their fields onto a registry metric — or explicitly
-exempts it, with the reason.
+exempts it, with the reason.  The caches keep no counters of their own:
+each plan-cache, mapping-memo and reward-table lookup is counted once, in
+the stats of the run that made it, and ``repro stats`` builds its hit-rate
+rows from those run counters.
 
 The maps are *total* by contract: ``tests/test_obs.py`` asserts that the
 published and exempt field sets partition each dataclass exactly (mirroring
@@ -39,7 +42,6 @@ __all__ = [
     "publish_plan_stats",
     "publish_mapper_stats",
     "publish_request_stats",
-    "publish_cache_info",
     "worker_metrics_snapshot",
     "registry_field_partition",
 ]
@@ -73,9 +75,6 @@ SEARCH_STATS_GAUGES = {
 #: field -> why it has no registry metric of its own
 SEARCH_STATS_EXEMPT = {
     "per_worker_iterations": "list breakdown; its sum is search.iterations",
-    "plan_cache": "nested cache snapshot; published as cache.plan.* via publish_cache_info",
-    "mapping_memo": "nested cache snapshot; published as cache.memo.* via publish_cache_info",
-    "reward_table": "nested cache snapshot; published as cache.rewards.* via publish_cache_info",
     "backend": "string label, not a quantity; exported on spans and trace metadata",
     "pool": "string label (warm/cold), mirrored by service.* counters",
     "metrics": "the per-worker registry snapshot itself (the merge payload)",
@@ -175,49 +174,25 @@ def publish_mapper_stats(stats, registry: MetricsRegistry, prefix: str = "mappin
 
 
 # ---------------------------------------------------------------------------
-# cache snapshots (plan cache / mapping memo / reward table)
+# worker processes
 # ---------------------------------------------------------------------------
 
 
-def publish_cache_info(info, registry: MetricsRegistry, prefix: str) -> None:
-    """Publish a cache ``info()`` dict (hits/misses/size) under ``<prefix>.*``.
-
-    ``prefix`` is used verbatim (``"cache.plan"``, ``"workers.cache.memo"``,
-    …); non-numeric entries are skipped.
-    """
-    if not info:
-        return
-    for key in sorted(info):
-        value = info[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            continue
-        registry.counter(f"{prefix}.{key}").inc(int(value))
-
-
-def worker_metrics_snapshot(
-    plan_stats=None,
-    mapper_stats=None,
-    plan_cache_info=None,
-    memo_info=None,
-    extra=None,
-) -> dict:
+def worker_metrics_snapshot(plan_stats, mapper_stats, extra=None) -> dict:
     """One worker process's picklable registry snapshot (``workers.*``).
 
-    Built at ``finish`` time from the worker's private stats sinks and cache
-    infos; ``extra`` folds in a persistent registry the worker kept itself
-    (the pool's setup-cache counters).  The coordinator merges these
-    snapshots in worker order, so the totals are deterministic — but note
-    they describe *per-process* caches (cold in every worker), which is why
-    they live in their own namespace instead of the ``executor.*`` /
-    ``mapping.*`` metrics the parent publishes.
+    Built at ``finish`` time from the worker's stats sinks, which count one
+    task (the pool zeroes them at task start); ``extra`` folds in a
+    persistent registry the worker kept itself (the pool's setup-cache
+    counters).  The coordinator merges these snapshots in worker order, so
+    the totals are deterministic — but the work they count ran over
+    *per-process* caches, which is why they live in their own namespace
+    instead of the ``executor.*`` / ``mapping.*`` metrics the parent
+    publishes.
     """
     registry = MetricsRegistry()
-    if plan_stats is not None:
-        publish_plan_stats(plan_stats, registry, prefix="workers.executor")
-    if mapper_stats is not None:
-        publish_mapper_stats(mapper_stats, registry, prefix="workers.mapping")
-    publish_cache_info(plan_cache_info, registry, "workers.cache.plan")
-    publish_cache_info(memo_info, registry, "workers.cache.memo")
+    publish_plan_stats(plan_stats, registry, prefix="workers.executor")
+    publish_mapper_stats(mapper_stats, registry, prefix="workers.mapping")
     if extra:
         registry.merge(extra)
     return registry.snapshot()

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import pickle
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Protocol, Sequence
 
 from ...difftree.nodes import worker_id_counter
@@ -36,8 +36,6 @@ from ..mcts import MCTSWorker, RewardFn
 from ..state import SearchState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ...database.executor import Executor
-    from ...mapping.memo import MappingMemo
     from ...transform.engine import TransformEngine
 
 
@@ -72,16 +70,12 @@ class RewardTable:
     def __init__(self) -> None:
         self._rewards: dict[str, float] = {}
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
 
     def get(self, key: str) -> tuple[bool, float]:
         """``(hit, reward)`` — rewards may legitimately be ``-inf``."""
         with self._lock:
             if key in self._rewards:
-                self.hits += 1
                 return True, self._rewards[key]
-            self.misses += 1
             return False, 0.0
 
     def merge(self, delta: dict[str, float]) -> dict[str, float]:
@@ -115,14 +109,6 @@ class RewardTable:
         with self._lock:
             return dict(self._rewards)
 
-    def info(self) -> dict:
-        with self._lock:
-            return {
-                "rewards": len(self._rewards),
-                "hits": self.hits,
-                "misses": self.misses,
-            }
-
 
 @dataclass
 class SearchJob:
@@ -140,9 +126,6 @@ class SearchJob:
     #: which process workers (each owning an engine) cannot reproduce
     engine_factory: Optional[Callable[[int], "TransformEngine"]] = None
     reward_factory: Optional[Callable[[int], RewardFn]] = None
-    #: diagnostics sinks surfaced through :class:`SearchStats`
-    executor: Optional["Executor"] = None
-    mapping_memo: Optional["MappingMemo"] = None
     #: pre-populated cross-worker reward table (persisted-cache reloads and
     #: warm generation-service pools hand one in so previously explored
     #: states are answered from the table instead of re-evaluated); backends
@@ -262,17 +245,9 @@ def aggregate_stats(
     sync_rounds: int,
     early_stopped: bool,
     search_seconds: float,
-    job: SearchJob,
-    reward_table: Optional[RewardTable] = None,
-    plan_cache_info: Optional[dict] = None,
-    mapping_memo_info: Optional[dict] = None,
     warmup_seconds: float = 0.0,
 ) -> SearchStats:
     """Fold per-worker statistics into the aggregate :class:`SearchStats`."""
-    if plan_cache_info is None and job.executor is not None:
-        plan_cache_info = job.executor.plan_cache.info()
-    if mapping_memo_info is None and job.mapping_memo is not None:
-        mapping_memo_info = job.mapping_memo.info()
     # per-worker registry snapshots (process-backend workers ship theirs in
     # the "done" reply) merge in worker order — the reward table's
     # first-writer-wins discipline — so the totals are deterministic under
@@ -298,13 +273,10 @@ def aggregate_stats(
         search_seconds=search_seconds,
         reward_cache_hits=sum(w.reward_cache_hits for w in worker_stats),
         rewards_seeded=sum(w.rewards_seeded for w in worker_stats),
-        plan_cache=plan_cache_info,
-        mapping_memo=mapping_memo_info,
         backend=backend_name,
         reward_table_hits=sum(w.reward_table_hits for w in worker_stats),
         sync_rounds=sync_rounds,
         warmup_seconds=warmup_seconds,
-        reward_table=reward_table.info() if reward_table is not None else None,
         metrics=merged_metrics,
     )
 

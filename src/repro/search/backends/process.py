@@ -157,16 +157,18 @@ def serve_search(
     worker: MCTSWorker,
     table: Optional[RewardTable],
     warmup_seconds: float,
-    cache_info: Callable[[], tuple[Optional[dict], Optional[dict]]],
     metrics_snapshot: Callable[[], dict],
     worker_index: int,
 ) -> bool:
     """Serve ``round`` messages for one search until ``finish`` / ``abort``.
 
     The pool's worker main (:mod:`repro.service.pool`) calls this once per
-    task and then returns to its idle loop.  Returns ``True`` when the
-    search finished, ``False`` when the coordinator aborted it (supervision
-    is replaying the task after another worker failed).
+    task and then returns to its idle loop.  On ``finish`` the worker's
+    :class:`SearchStats` carry ``metrics_snapshot()``: this task's
+    ``workers.*`` counters, which the coordinator merges in worker order.
+    Returns ``True`` when the search finished, ``False`` when the
+    coordinator aborted it (supervision is replaying the task after another
+    worker failed).
     """
     last_sent_fp: Optional[str] = None
     seq = 0
@@ -215,11 +217,6 @@ def serve_search(
             stats = worker.stats
             stats.backend = "process"
             stats.warmup_seconds = warmup_seconds
-            plan_info, memo_info = cache_info()
-            stats.plan_cache = plan_info
-            stats.mapping_memo = memo_info
-            if table is not None:
-                stats.reward_table = table.info()
             stats.metrics = metrics_snapshot()
             if TRACER.enabled:
                 # ship this process's span events to the coordinator (drain,
@@ -436,24 +433,8 @@ class ProcessBackend:
             sync_rounds,
             early_stopped or any(w.early_stopped for w in worker_stats),
             time.perf_counter() - start,
-            job,
-            # caches live in the worker processes; surface the best worker's
-            # snapshots as the aggregate view (per-worker stats carry the rest)
-            plan_cache_info=worker_stats[best].plan_cache,
-            mapping_memo_info=worker_stats[best].mapping_memo,
             warmup_seconds=warmup_wall,
         )
-        if table is not None:
-            # the lookups all happened against the worker replicas — fold
-            # their counters over the coordinator table's entry count so the
-            # snapshot means the same thing it does on the serial backend
-            stats.reward_table = {
-                "rewards": table.size(),
-                "hits": sum((w.reward_table or {}).get("hits", 0) for w in worker_stats),
-                "misses": sum(
-                    (w.reward_table or {}).get("misses", 0) for w in worker_stats
-                ),
-            }
         stats.reward_table_loaded = len(table_seed)
         return ParallelSearchResult(
             load_state(finals[best][1]), finals[best][2], stats, worker_stats

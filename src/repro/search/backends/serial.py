@@ -102,8 +102,6 @@ class SerialBackend:
             sync_rounds,
             early_stopped or any(w.stats.early_stopped for w in self.workers),
             time.perf_counter() - start,
-            job,
-            reward_table=table,
             warmup_seconds=warmup_seconds,
         )
         stats.reward_table_loaded = loaded

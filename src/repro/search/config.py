@@ -101,7 +101,13 @@ class SearchConfig:
 
 @dataclass
 class SearchStats:
-    """Diagnostics collected by a search run (used by the benchmarks)."""
+    """Diagnostics collected by a search run (used by the benchmarks).
+
+    Every count describes this search alone, and none is a cache snapshot:
+    plan-cache and memo lookups are counted by the executor's ``PlanStats``
+    and the mapper's ``MapperStats``, reward-table lookups here by
+    ``reward_table_hits`` (hits) and ``states_evaluated`` (misses).
+    """
 
     iterations: int = 0
     states_evaluated: int = 0
@@ -117,15 +123,6 @@ class SearchStats:
     #: rewards planted into a worker's cache by ``adopt()`` during
     #: synchronization, so broadcast states are never re-evaluated
     rewards_seeded: int = 0
-    #: snapshot of the shared query-plan cache after the search (all workers
-    #: execute their reward queries through one process-wide compiled plan
-    #: set; populated when the coordinator is given the executor)
-    plan_cache: Optional[dict] = None
-    #: snapshot of the shared mapping-fragment memo after the search (the
-    #: second cache level: per-tree schemas / candidate fragments shared by
-    #: every worker's reward mapper; populated when the coordinator is given
-    #: the memo)
-    mapping_memo: Optional[dict] = None
     #: the backend that actually ran the search (``"serial"`` or
     #: ``"process"``); ``"serial"`` for a process request whose worker pool
     #: could not recover (see ``degraded``) or for a bare
@@ -144,8 +141,6 @@ class SearchStats:
     #: serial workers evaluate through the parent's shared (usually already
     #: warm) caches, so their warm-up is much smaller
     warmup_seconds: float = 0.0
-    #: snapshot of the shared reward table after the search
-    reward_table: Optional[dict] = None
     #: how this request's workers came up: ``None`` for a one-shot search,
     #: ``"cold"`` for the first request served by a pool (spawn + warmup paid
     #: here), ``"warm"`` for subsequent requests on live workers

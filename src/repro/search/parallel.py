@@ -18,23 +18,19 @@ re-evaluating the overlapping states they all visit.
 Every worker's reward evaluation executes SQL through a compiled-plan cache
 (:data:`repro.database.plancache.SHARED_PLAN_CACHE` in this process; a
 per-process clone for process workers), so the thousands of reward queries
-a search run issues share compiled plan sets; pass the pipeline's
-``executor`` to surface the cache's hit statistics in :class:`SearchStats`.
+a search run issues share compiled plan sets.  The search does not report
+on that cache: the executor's ``PlanStats`` counts its hits and compiles.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..difftree.tree import Difftree
 from ..transform.engine import TransformEngine
 from .backends import ParallelSearchResult, SearchBackend, SearchJob, SerialBackend
 from .config import SearchConfig
 from .mcts import RewardFn
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..database.executor import Executor
-    from ..mapping.memo import MappingMemo
 
 __all__ = ["ParallelSearchResult", "parallel_search"]
 
@@ -44,8 +40,6 @@ def parallel_search(
     engine: Optional[TransformEngine] = None,
     reward_fn: Optional[RewardFn] = None,
     config: Optional[SearchConfig] = None,
-    executor: Optional["Executor"] = None,
-    mapping_memo: Optional["MappingMemo"] = None,
     engine_factory: Optional[Callable[[int], TransformEngine]] = None,
     reward_factory: Optional[Callable[[int], RewardFn]] = None,
     reward_table=None,
@@ -64,8 +58,6 @@ def parallel_search(
         reward_fn=reward_fn,
         engine_factory=engine_factory,
         reward_factory=reward_factory,
-        executor=executor,
-        mapping_memo=mapping_memo,
         reward_table=reward_table,
     )
     return (backend or SerialBackend()).run(job)

@@ -9,7 +9,7 @@ One :class:`CacheStore` bundle holds everything a later run over the same
 * the catalogue's **compiled plan** entries — plans reference tables by name
   and rebind to any catalogue with the same content fingerprint;
 * the catalogue's persistable **mapping-memo fragments** (see
-  :meth:`repro.mapping.memo.MappingMemo.export_entries`).
+  :data:`repro.mapping.memo.PERSISTABLE_KINDS`).
 
 Keying and validation
 ---------------------

@@ -55,7 +55,7 @@ import os
 import pickle
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .. import faults
@@ -146,6 +146,12 @@ class ServiceWorkerSpec:
 _SETUP_CACHE_SIZE = 8
 
 
+def _zero_counters(stats) -> None:
+    """Reset every field of a stats dataclass to its default, in place."""
+    for fld in fields(stats):
+        setattr(stats, fld.name, fld.default)
+
+
 def _pooled_worker_main(conn, spec_bytes: bytes, worker_index: int) -> None:
     """Entry point of one pool worker: idle loop serving ``task`` messages.
 
@@ -161,11 +167,11 @@ def _pooled_worker_main(conn, spec_bytes: bytes, worker_index: int) -> None:
     try:
         spec: ServiceWorkerSpec = pickle.loads(spec_bytes)
         catalog = spec.materialize()
-        #: context sha256 -> (reward setup, unpickled pipeline config)
+        #: context sha256 -> (reward setup, unpickled pipeline config, engine)
         setups: OrderedDict[str, tuple] = OrderedDict()
-        # pool-lifetime counters: they persist across tasks (like the plan
-        # cache and memo they describe), so a snapshot is cumulative — a warm
-        # task's setup_cache_hits counts every task this worker has served
+        # pool-lifetime counters: they persist across tasks, so a snapshot is
+        # cumulative — a warm task's setup_cache_hits counts every task this
+        # worker has served
         registry = MetricsRegistry()
         conn.send(("ready",))
         while True:
@@ -208,6 +214,10 @@ def _pooled_worker_main(conn, spec_bytes: bytes, worker_index: int) -> None:
                 else:
                     setups.move_to_end(context_key)
                     setup, pipeline_config, engine = cached
+                # the cached setup's stats count this task only: zero them in
+                # place (its planner holds the same PlanStats object)
+                _zero_counters(setup.executor.stats)
+                _zero_counters(setup.mapper.stats)
                 reward_fn = make_reward_fn(setup, pipeline_config, worker_index)
                 table = RewardTable() if search_config.shared_rewards else None
                 if table is not None and task["table_seed"]:
@@ -226,18 +236,9 @@ def _pooled_worker_main(conn, spec_bytes: bytes, worker_index: int) -> None:
                 # the coordinator at the task-ready barrier
                 conn.send(("task-ready", warmup_seconds, registry.snapshot()))
 
-                def cache_info(setup=setup):
-                    memo = setup.memo.info() if setup.memo is not None else None
-                    return setup.executor.plan_cache.info(), memo
-
                 def metrics_snapshot(setup=setup):
-                    plan_info, memo_info = cache_info(setup)
                     return worker_metrics_snapshot(
-                        plan_stats=setup.executor.stats,
-                        mapper_stats=setup.mapper.stats,
-                        plan_cache_info=plan_info,
-                        memo_info=memo_info,
-                        extra=registry.snapshot(),
+                        setup.executor.stats, setup.mapper.stats, extra=registry.snapshot()
                     )
 
                 serve_search(
@@ -245,7 +246,6 @@ def _pooled_worker_main(conn, spec_bytes: bytes, worker_index: int) -> None:
                     worker,
                     table,
                     warmup_seconds,
-                    cache_info,
                     metrics_snapshot=metrics_snapshot,
                     worker_index=worker_index,
                 )

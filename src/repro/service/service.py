@@ -51,7 +51,7 @@ from ..database.catalog import Catalog
 from ..database.datasets import standard_catalog
 from ..difftree.builder import parse_queries
 from ..faults import DeadlineExceeded, GenerationFailure, WorkerFailure
-from ..obs import GLOBAL_METRICS, MetricsRegistry, publish_request_stats, span
+from ..obs import MetricsRegistry, publish_request_stats, span
 from ..search.backends import (
     ProcessBackend,
     RewardTable,
@@ -262,7 +262,6 @@ class GenerationService:
                 if isinstance(exc, DeadlineExceeded):
                     deadline_exceeded = True
                 self._reset_pool()
-                GLOBAL_METRICS.counter("service.rung_failures").inc()
                 if terminal:  # pragma: no cover - serial cannot fail this way
                     raise GenerationFailure(
                         f"every degradation rung failed (last: {exc})"
@@ -290,14 +289,13 @@ class GenerationService:
             deadline_exceeded=deadline_exceeded,
         )
         self.requests.append(request)
-        # fold the request view into the run's metrics (and the process-wide
-        # accumulator) so service.* rides along in trace/stats exports
+        # fold the request view into the run's metrics so service.* rides
+        # along in trace/stats exports
         registry = MetricsRegistry()
         publish_request_stats(request, registry)
         if self._pool is not None:
             registry.merge(self._pool.metrics.snapshot())
             registry.merge(self._pool.supervisor.snapshot())
-        GLOBAL_METRICS.merge(registry.snapshot())
         if result.metrics is not None:
             result.metrics.update(registry.as_dict())
         return result

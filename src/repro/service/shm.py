@@ -120,9 +120,9 @@ def sweep_orphaned_segments() -> int:
     Scans ``/dev/shm`` for ``pi2shm-<pid>-*`` entries, probes the embedded
     pid, and unlinks segments of dead owners — the leftovers of a pool
     owner that died without running any of its cleanup paths.  Returns the
-    number of segments reclaimed and bumps the global
-    ``shm.reclaimed_segments`` counter by it.  Never raises: a sweep
-    failure must not stop a registry from being built.
+    number of segments reclaimed, which a worker pool publishes as its
+    ``shm.reclaimed_segments`` counter.  Never raises: a sweep failure must
+    not stop a registry from being built.
     """
     reclaimed = 0
     try:
@@ -144,10 +144,6 @@ def sweep_orphaned_segments() -> int:
             reclaimed += 1
         except OSError:  # pragma: no cover - raced with another sweeper
             continue
-    if reclaimed:
-        from ..obs import GLOBAL_METRICS
-
-        GLOBAL_METRICS.counter("shm.reclaimed_segments").inc(reclaimed)
     return reclaimed
 
 

@@ -9,7 +9,7 @@ relies on; the *structure* of every query follows the paper exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)

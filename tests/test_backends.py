@@ -8,12 +8,11 @@ per-process cache warm-up and runs its workers on real OS processes.
 """
 
 import json
-import os
 
 import pytest
 
 from repro.core.config import PipelineConfig
-from repro.core.pipeline import generate_for_workload
+from repro.core.pipeline import GenerationRuntime, generate_for_workload
 from repro.database import standard_catalog
 from repro.difftree import initial_difftrees
 from repro.search import (
@@ -106,23 +105,23 @@ def test_process_backend_determinism_pinned():
 def test_shared_rewards_reduce_evaluations():
     """The reward table answers states other workers already evaluated."""
     stats = {}
+    table = RewardTable()
     for shared in (True, False):
         catalog = standard_catalog(seed=11, scale=0.12)
         config = _backend_config("serial", shared_rewards=shared)
         config.search.workers = 3
         config.search.early_stop = 10_000  # equal iteration budgets
+        runtime = GenerationRuntime(reward_table=table if shared else None)
         result = generate_for_workload(
-            WORKLOADS["filter"], catalog=catalog, config=config
+            WORKLOADS["filter"], catalog=catalog, config=config, runtime=runtime
         )
         stats[shared] = result.search_stats
     assert stats[True].reward_table_hits > 0
     assert stats[False].reward_table_hits == 0
     assert stats[True].states_evaluated < stats[False].states_evaluated
-    assert stats[True].reward_table is not None
     # the table holds one entry per *distinct* fingerprint: workers that
     # evaluate the same state in the same round merge to a single reward
-    table_rewards = stats[True].reward_table["rewards"]
-    assert 0 < table_rewards <= stats[True].states_evaluated
+    assert 0 < table.size() <= stats[True].states_evaluated
 
 
 def test_process_backend_reports_warmup_and_sync_rounds():
@@ -134,11 +133,16 @@ def test_process_backend_reports_warmup_and_sync_rounds():
     assert stats.backend == "process"
     assert stats.sync_rounds >= 1
     assert stats.warmup_seconds > 0  # per-process catalogue + cache rebuild
-    # the aggregate cache snapshots come from the worker processes (the
-    # coordinator's own executor never ran a reward query); compiled plans
-    # prove the worker rebuilt and warmed its own cache — hit counts depend
-    # on workload shape and on what a forked child inherited, so don't pin
-    assert stats.plan_cache is not None and stats.plan_cache["plans"] > 0
+    # the reward queries ran in the worker processes (the coordinator's own
+    # executor never ran one), whose counts arrive under workers.*; whether
+    # a plan was compiled or hit depends on what a forked child inherited,
+    # so only their sum is pinned
+    metrics = result.metrics
+    assert (
+        metrics["workers.executor.plans_compiled"]
+        + metrics["workers.executor.plan_cache_hits"]
+        > 0
+    )
 
 
 # -- backend plumbing ----------------------------------------------------------
@@ -189,8 +193,6 @@ def test_reward_table_merge_first_writer_wins():
     hit, _ = table.get("missing")
     assert not hit
     assert table.size() == 3
-    info = table.info()
-    assert info["rewards"] == 3 and info["hits"] == 1 and info["misses"] == 1
 
 
 def test_state_serialization_round_trip():

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from repro.database import (
     Catalog,
+    CatalogCache,
     Column,
     DataType,
     Executor,
-    PlanCache,
     SHARED_PLAN_CACHE,
     Table,
     standard_catalog,
@@ -97,7 +97,7 @@ def make_pair():
     """The interpreter (the oracle) and a columnar executor on a private
     plan cache."""
     interp = Executor(CATALOG, enable_cache=False, use_planner=False)
-    col = Executor(CATALOG, enable_cache=False, plan_cache=PlanCache())
+    col = Executor(CATALOG, enable_cache=False, plan_cache=CatalogCache())
     return interp, col
 
 
@@ -231,7 +231,7 @@ def test_workload_sweep_has_zero_columnar_fallbacks():
     columnar engine, one execution per planned statement."""
     from repro.workloads.logs import WORKLOADS
 
-    ex = Executor(CATALOG, enable_cache=False, plan_cache=PlanCache())
+    ex = Executor(CATALOG, enable_cache=False, plan_cache=CatalogCache())
     for workload in WORKLOADS.values():
         for sql in workload.queries:
             ex.execute_sql(sql)
@@ -251,7 +251,7 @@ def test_columnar_hash_join_builds_on_smaller_side():
         [(i % 3, i) for i in range(20)],
     )
     catalog = Catalog([small, big])
-    private = PlanCache()
+    private = CatalogCache()
     expected = Executor(catalog, enable_cache=False, use_planner=False).execute_sql(
         "SELECT small.k, big.v FROM small, big WHERE small.k = big.k"
     )
@@ -271,7 +271,7 @@ def test_columnar_results_are_snapshots_of_base_storage():
     inserted after the query ran may not appear in an already-built result."""
     t = Table.from_rows("snap", [Column("a", DataType.INT)], [(1,), (2,)])
     catalog = Catalog([t])
-    ex = Executor(catalog, enable_cache=False, plan_cache=PlanCache())
+    ex = Executor(catalog, enable_cache=False, plan_cache=CatalogCache())
     result = ex.execute_sql("SELECT a FROM snap")
     t.insert((3,))
     assert result.values("a") == [1, 2]
@@ -314,7 +314,7 @@ def test_compare_vector_scalar_matches_compare_values(op, values, scalar):
 
 def test_plan_cache_is_shared_across_executors():
     catalog = standard_catalog(seed=11, scale=0.1)
-    cache = PlanCache()
+    cache = CatalogCache()
     first = Executor(catalog, enable_cache=False, plan_cache=cache)
     second = Executor(catalog, enable_cache=False, plan_cache=cache)
     sql = "SELECT hp FROM Cars WHERE mpg > 20"
@@ -324,11 +324,11 @@ def test_plan_cache_is_shared_across_executors():
     # the second executor never compiles: it reuses the first one's plan
     assert second.stats.plans_compiled == 0
     assert second.stats.plan_cache_hits == 1
-    assert cache.info()["plans"] == 1
+    assert cache.size(catalog) == 1
 
 
 def test_plan_cache_is_partitioned_by_catalog():
-    cache = PlanCache()
+    cache = CatalogCache()
     cat_a = standard_catalog(seed=11, scale=0.1)
     cat_b = standard_catalog(seed=12, scale=0.1)
     sql = "SELECT hp FROM Cars"
@@ -337,11 +337,11 @@ def test_plan_cache_is_partitioned_by_catalog():
     ex_b.execute_sql(sql)
     # same fingerprint, different catalogue: must compile its own plan
     assert ex_b.stats.plans_compiled == 1
-    assert cache.info()["catalogs"] == 2
+    assert cache.size(cat_a) == 1 and cache.size(cat_b) == 1
 
 
 def test_plan_cache_entries_die_with_their_catalog():
-    cache = PlanCache()
+    cache = CatalogCache()
     catalog = standard_catalog(seed=11, scale=0.1)
     Executor(catalog, enable_cache=False, plan_cache=cache).execute_sql(
         "SELECT hp FROM Cars"
@@ -355,7 +355,7 @@ def test_plan_cache_entries_die_with_their_catalog():
 
 
 def test_plan_cache_lru_bound():
-    cache = PlanCache(max_size_per_catalog=2)
+    cache = CatalogCache(max_size_per_catalog=2)
     catalog = standard_catalog(seed=11, scale=0.1)
     ex = Executor(catalog, enable_cache=False, plan_cache=cache)
     ex.execute_sql("SELECT hp FROM Cars")
@@ -370,7 +370,7 @@ def test_default_executor_uses_process_wide_cache():
 
 
 def test_clear_cache_only_drops_own_catalog_plans():
-    cache = PlanCache()
+    cache = CatalogCache()
     cat_a = standard_catalog(seed=11, scale=0.1)
     cat_b = standard_catalog(seed=12, scale=0.1)
     ex_a = Executor(cat_a, enable_cache=False, plan_cache=cache)

@@ -7,7 +7,6 @@ from repro.database import (
     make_sales_table,
     make_sdss_tables,
     make_sp500_table,
-    make_t_table,
     small_catalog,
     standard_catalog,
 )

@@ -23,7 +23,7 @@ from repro.difftree.schema import (
 from repro.difftree.types import PiType
 from repro.sqlparser import ast_nodes as A
 from repro.sqlparser import parse
-from repro.sqlparser.ast_nodes import L, Node
+from repro.sqlparser.ast_nodes import L
 
 
 # -- type annotation ---------------------------------------------------------------

@@ -9,7 +9,6 @@ from repro.baselines import pi1_generate
 from repro.difftree import initial_difftrees, merge_difftrees
 from repro.difftree.builder import parse_queries
 from repro.interface import InterfaceRuntime, export_html, interface_to_html, interface_to_json
-from repro.interface.spec import AppliedWidget
 from repro.taxonomy import classify_interface
 from repro.transform import TransformEngine
 

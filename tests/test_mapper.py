@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from repro.difftree import initial_difftrees, merge_difftrees
 from repro.mapping import InterfaceMapper, MapperConfig
 from repro.transform import TransformEngine

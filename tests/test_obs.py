@@ -43,7 +43,6 @@ from repro.obs import (
     publish_plan_stats,
     read_trace,
     registry_field_partition,
-    span,
     write_chrome_trace,
     write_jsonl,
 )
@@ -202,7 +201,7 @@ def _synthetic_events() -> list[SpanEvent]:
 
 def test_chrome_trace_and_jsonl_roundtrip(tmp_path):
     events = _synthetic_events()
-    metrics = {"cache.plan.hits": 3, "cache.plan.misses": 1}
+    metrics = {"executor.plan_cache_hits": 3, "executor.plans_compiled": 1}
     chrome = tmp_path / "trace.json"
     jsonl = tmp_path / "trace.jsonl"
     write_chrome_trace(chrome, events, metrics=metrics)
@@ -238,18 +237,42 @@ def test_phase_attribution_uses_self_time():
 def test_cache_hit_rates_rows():
     rows = cache_hit_rates(
         {
-            "cache.plan.hits": 3,
-            "cache.plan.misses": 1,
-            "cache.memo.hits": 0,
-            "cache.memo.misses": 0,
+            "executor.plan_cache_hits": 3,
+            "executor.plans_compiled": 1,
+            "mapping.memo_hits": 0,
+            "mapping.memo_misses": 0,
             "persist.loads": 1,
             "persist.misses": 1,
+            "workers.mapping.memo_hits": 2,
         }
     )
     by_name = {row["cache"]: row for row in rows}
     assert by_name["plan"]["rate"] == pytest.approx(0.75)
     assert by_name["memo"]["rate"] is None
     assert by_name["persisted"]["hits"] == 1
+    assert by_name["workers.memo"]["rate"] == pytest.approx(1.0)
+    assert "rewards" not in by_name and "workers.plan" not in by_name
+
+
+def test_stats_cache_rows_count_only_their_run():
+    """``repro stats`` rows are the run's own counts: a second run over a
+    catalogue whose shared plan cache and memo are warm reports its own
+    lookups, not the caches' totals over both runs."""
+    catalog = standard_catalog(seed=7, scale=0.12)
+    config = PipelineConfig.fast(seed=7)
+    generate_for_workload(WORKLOADS["filter"], catalog=catalog, config=config)
+    second = generate_for_workload(WORKLOADS["filter"], catalog=catalog, config=config)
+    plan, mapper, search = second.executor_stats, second.mapper_stats, second.search_stats
+    rows = {
+        row["cache"]: (row["hits"], row["misses"])
+        for row in cache_hit_rates(second.metrics)
+    }
+    assert rows == {
+        "plan": (plan.plan_cache_hits, plan.plans_compiled),
+        "memo": (mapper.memo_hits, mapper.memo_misses),
+        "rewards": (search.reward_table_hits, search.states_evaluated),
+    }
+    assert plan.plan_cache_hits > 0 and mapper.memo_hits > 0
 
 
 # -- completeness: stats dataclasses as registry views --------------------------
@@ -368,4 +391,4 @@ def test_traced_pipeline_covers_at_least_five_subsystems():
     assert len(categories) >= 5, categories
     # and the run registry rode along on the result
     assert result.metrics["search.iterations"] > 0
-    assert any(name.startswith("cache.plan.") for name in result.metrics)
+    assert any(row["cache"] == "plan" for row in cache_hit_rates(result.metrics))

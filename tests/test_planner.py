@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.database import Executor, PlanCache, standard_catalog
+from repro.database import CatalogCache, Executor, standard_catalog
 from repro.database.planner import (
     CrossJoinOp,
     HashJoinOp,
@@ -267,7 +267,7 @@ def test_null_nan_equivalence_property(left, right):
         ]
     )
     interpreted = Executor(catalog, enable_cache=False, use_planner=False)
-    columnar = Executor(catalog, enable_cache=False, plan_cache=PlanCache())
+    columnar = Executor(catalog, enable_cache=False, plan_cache=CatalogCache())
     queries = [
         "SELECT lt.v, rt.w FROM lt, rt WHERE lt.k = rt.k",
         "SELECT k, count(*), count(v), sum(v), avg(v), min(v), max(v) "
@@ -407,7 +407,7 @@ def test_explain_renders_plan_stages():
 def test_plan_stats_are_collected():
     # a private plan cache keeps the counters deterministic regardless of
     # what other tests have already compiled into the shared cache
-    ex = Executor(CATALOG, enable_cache=False, plan_cache=PlanCache())
+    ex = Executor(CATALOG, enable_cache=False, plan_cache=CatalogCache())
     ex.execute_sql(
         "SELECT gal.objID FROM galaxy as gal, specObj as s "
         "WHERE s.bestObjID = gal.objID AND s.ra > 213.5"
@@ -445,7 +445,7 @@ def test_tied_orderby_join_equivalence():
         ]
     )
     interpreted = Executor(catalog, enable_cache=False, use_planner=False)
-    planned = Executor(catalog, enable_cache=False, plan_cache=PlanCache())
+    planned = Executor(catalog, enable_cache=False, plan_cache=CatalogCache())
     for sql in (
         "SELECT a.v, b.w FROM a, b WHERE a.k = b.k ORDER BY a.v",
         "SELECT a.v, b.w FROM a, b WHERE a.k = b.k ORDER BY a.v LIMIT 1",
@@ -457,7 +457,7 @@ def test_scalar_function_with_stray_distinct_over_aggregate():
     """Regression: round(DISTINCT sum(x)) must not crash the columnar group
     evaluator — the interpreter ignores the stray DISTINCT, so must we."""
     interpreted = Executor(CATALOG, enable_cache=False, use_planner=False)
-    columnar = Executor(CATALOG, enable_cache=False, plan_cache=PlanCache())
+    columnar = Executor(CATALOG, enable_cache=False, plan_cache=CatalogCache())
     sql = "SELECT origin, round(DISTINCT sum(hp)) FROM Cars GROUP BY origin"
     assert interpreted.execute_sql(sql).rows == columnar.execute_sql(sql).rows
     assert columnar.stats.columnar_executions == 1
@@ -482,7 +482,7 @@ def test_uncorrelated_subquery_predicates_stay_columnar():
         # FROM subqueries execute separately, once
         ("SELECT hour FROM (SELECT hour FROM flights) sub WHERE hour > 1", 2),
     ):
-        ex = Executor(CATALOG, enable_cache=False, plan_cache=PlanCache())
+        ex = Executor(CATALOG, enable_cache=False, plan_cache=CatalogCache())
         ex.execute_sql(sql)
         assert ex.stats.columnar_executions == executions, sql
 

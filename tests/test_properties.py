@@ -21,7 +21,7 @@ from repro.database import DataType
 from repro.difftree import match_query, resolve_with_derivation
 from repro.difftree.nodes import AnyNode, MultiNode, SubsetNode, ValNode, make_opt
 from repro.difftree.resolve import FlatBindingSource, resolve
-from repro.difftree.types import PiType, union_types
+from repro.difftree.types import PiType
 from repro.sqlparser import ast_nodes as A
 from repro.sqlparser import parse, to_sql
 from repro.sqlparser.ast_nodes import L, Node

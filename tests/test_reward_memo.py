@@ -13,16 +13,10 @@ import pytest
 
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import generate_for_workload
-from repro.database import Executor, standard_catalog
+from repro.database import CatalogCache, Executor, standard_catalog
 from repro.difftree import initial_difftrees
-from repro.mapping import (
-    InterfaceMapper,
-    MapperConfig,
-    MappingMemo,
-    SHARED_MAPPING_MEMO,
-)
+from repro.mapping import InterfaceMapper, MapperConfig, SHARED_MAPPING_MEMO
 from repro.search import MCTSWorker, SearchConfig, SearchState
-from repro.search.config import SearchStats
 from repro.transform import TransformEngine
 from repro.workloads import WORKLOADS
 
@@ -70,12 +64,11 @@ def test_pipeline_reports_mapping_memo_stats():
     result = generate_for_workload(
         WORKLOADS["explore"], catalog=catalog, config=_memo_test_config(True)
     )
-    memo_info = result.search_stats.mapping_memo
-    assert memo_info is not None
-    assert memo_info["hits"] > 0
     assert result.mapper_stats.memo_hits > 0
+    # the run's registry reports the mapper's own count
+    assert result.metrics["mapping.memo_hits"] == result.mapper_stats.memo_hits
     # the shared memo is the process-wide instance
-    assert SHARED_MAPPING_MEMO.info()["hits"] >= memo_info["hits"]
+    assert SHARED_MAPPING_MEMO.size(catalog) > 0
 
 
 # -- invalidation: a one-tree delta keeps other trees' fragments live ----------
@@ -103,7 +96,7 @@ def test_one_tree_delta_recomputes_only_that_tree():
 
     catalog = standard_catalog(seed=7, scale=0.12)
     executor = Executor(catalog)
-    memo = MappingMemo()
+    memo = CatalogCache()
     trees, mapper = _two_tree_mapper(catalog, executor, memo)
     engine = TransformEngine(catalog, executor, max_applications=16)
 
@@ -128,21 +121,19 @@ def test_one_tree_delta_recomputes_only_that_tree():
 
     unchanged = [t for t in new_trees if t.fingerprint() in old_fps]
     for tree in unchanged:
-        assert memo.contains(
-            catalog, ("widgets", tree.mapping_key(), len(WIDGET_TYPES))
-        )
+        hit, _ = memo.lookup(catalog, ("widgets", tree.mapping_key(), len(WIDGET_TYPES)))
+        assert hit
 
     # … so re-evaluating the new state misses only on the changed trees'
     # fragments; a from-scratch mapper over the same state misses on all
-    misses_before = memo.misses
+    misses_before = mapper.stats.memo_misses
     mapper.random_interfaces(new_trees, count=2, rng=random.Random(4))
-    fresh_misses = memo.misses - misses_before
+    fresh_misses = mapper.stats.memo_misses - misses_before
 
-    scratch_memo = MappingMemo()
-    _, scratch_mapper = _two_tree_mapper(catalog, executor, scratch_memo)
+    _, scratch_mapper = _two_tree_mapper(catalog, executor, CatalogCache())
     scratch_mapper.random_interfaces(new_trees, count=2, rng=random.Random(4))
-    assert 0 < fresh_misses < scratch_memo.misses
-    assert memo.hits > 0
+    assert 0 < fresh_misses < scratch_mapper.stats.memo_misses
+    assert mapper.stats.memo_hits > 0
 
 
 # -- reward-cache seeding on adopt ---------------------------------------------

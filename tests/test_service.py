@@ -30,7 +30,7 @@ from repro.database.plancache import SHARED_PLAN_CACHE
 from repro.database.table import Table
 from repro.database.types import Column, DataType
 from repro.difftree.builder import parse_queries
-from repro.mapping.memo import MappingMemo
+from repro.mapping.memo import SHARED_MAPPING_MEMO
 from repro.search.backends import BACKEND_ENV_VAR
 from repro.service import (
     CACHE_VERSION,
@@ -94,14 +94,22 @@ def test_cold_warm_and_persisted_runs_byte_identical(workload, tmp_path):
     assert cold.search_stats.pool is None
 
     # warm pool: one service, two requests over live workers
-    with GenerationService(
-        _fresh_catalog(), config=_service_config("process")
-    ) as service:
+    config = _service_config("process")
+    with GenerationService(_fresh_catalog(), config=config) as service:
         pooled_first = service.generate_workload(workload)
         pooled_second = service.generate_workload(workload)
         assert service.requests[0].pool == "cold"
         assert service.requests[1].pool == "warm"
     warm_stats = pooled_second.search_stats
+
+    # workers.* counts each request's own task: a warm worker's cached
+    # reward setup starts every task from zeroed counters
+    for pooled in (pooled_first, pooled_second):
+        assert (
+            pooled.metrics["workers.mapping.interfaces_evaluated"]
+            == config.search.reward_mappings * pooled.search_stats.states_evaluated
+        )
+    assert pooled_second.metrics["workers.executor.plans_compiled"] == 0
 
     # pool-served requests report the same backend as the one-shot run
     assert pooled_first.search_stats.backend == "process"
@@ -316,7 +324,7 @@ def test_plan_cache_export_import_roundtrip():
 
 
 def test_mapping_memo_import_drops_non_persistable_kinds():
-    memo = MappingMemo()
+    memo = SHARED_MAPPING_MEMO
     catalog = _fresh_catalog()
     good = (("schema", "fp-1"), {"cols": ["a"]})
     smuggled = (("wcover", "anything"), {"oops": True})

@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from repro.difftree import initial_difftrees, merge_difftrees, split_difftree
 from repro.difftree.builder import cluster_by_result_schema, parse_queries
 from repro.difftree.nodes import AnyNode, MultiNode, SubsetNode, ValNode, choice_nodes

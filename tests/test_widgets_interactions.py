@@ -13,10 +13,8 @@ from repro.mapping import (
     stream_schema,
 )
 from repro.mapping.widgets import (
-    CHECKBOX,
     RADIO,
     RANGE_SLIDER,
-    SLIDER,
     TEXTBOX,
     TOGGLE,
     WidgetType,
