@@ -290,7 +290,7 @@ def _command_generate(args) -> int:
         f"\ngenerated in {result.total_seconds:.1f}s "
         f"(search {result.search_seconds:.1f}s, mapping {result.mapping_seconds:.1f}s)"
     )
-    print(_search_summary(result.search_stats, result.executor_stats))
+    print(_search_summary(result))
     if args.taxonomy:
         print("\nYi et al. taxonomy coverage:")
         print(classify_interface(interface).describe())
@@ -310,9 +310,10 @@ def _command_generate(args) -> int:
     return 0
 
 
-def _search_summary(stats, executor_stats=None) -> str:
+def _search_summary(result) -> str:
     """One-line search diagnostics (backend, sharing, per-worker progress),
     plus how many statements the executor ran on the columnar engine."""
+    stats = result.search_stats
     per_worker = ",".join(str(n) for n in stats.per_worker_iterations)
     line = (
         f"search: backend={stats.backend} "
@@ -330,13 +331,12 @@ def _search_summary(stats, executor_stats=None) -> str:
         )
     if stats.warmup_seconds:
         line += f" warmup={stats.warmup_seconds:.2f}s"
-    if executor_stats is not None:
-        line += f"\ncolumnar: executions={executor_stats.columnar_executions}"
-        if stats.backend == "process":
-            # process workers rebuild their executors per process; their
-            # PlanStats never merge back, so only this process's share
-            # (final mapping + any serial work) is visible here
-            line += " [parent process only; worker stats not merged]"
+    line += f"\ncolumnar: executions={result.executor_stats.columnar_executions}"
+    workers = (result.metrics or {}).get("workers.executor.columnar_executions")
+    if workers is not None:
+        # process workers run the reward queries on their own executors;
+        # their counts arrive in the run's metrics under workers.*
+        line += f" workers={workers}"
     return line
 
 

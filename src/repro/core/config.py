@@ -95,10 +95,10 @@ class PipelineResult:
     #: query-plan / executor counters (:class:`repro.database.planner.PlanStats`)
     #: for the run — joins executed, pushdowns, cache hit rates
     executor_stats: object = None
-    #: the run's unified metrics registry as a flat ``{name: value}`` dict
-    #: (:meth:`repro.obs.metrics.MetricsRegistry.as_dict`): every stats
-    #: dataclass above published through :mod:`repro.obs.views`, plus merged
-    #: per-worker snapshots under ``workers.*``
+    #: the run's metrics as one flat ``{name: number}`` dict, sorted by
+    #: name: every stats dataclass above published through
+    #: :mod:`repro.obs.views` (counters as ints, gauges as floats), plus the
+    #: process workers' counts added up under ``workers.*`` and ``pool.*``
     metrics: Optional[dict] = None
 
     @property

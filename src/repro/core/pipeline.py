@@ -42,7 +42,7 @@ from ..interface.spec import Interface
 from ..mapping.mapper import InterfaceMapper
 from ..mapping.memo import SHARED_MAPPING_MEMO
 from ..obs import (
-    MetricsRegistry,
+    add_counts,
     publish_mapper_stats,
     publish_plan_stats,
     publish_search_stats,
@@ -337,25 +337,23 @@ def generate_interface(
             memo=memo_entries,
         )
 
-    # publish every stats sink into the run's unified registry (the stats
-    # dataclasses are views over it — repro.obs.views declares the total
-    # field maps); its counters are this run's alone
-    registry = MetricsRegistry()
-    publish_search_stats(result.stats, registry)
-    publish_plan_stats(executor.stats, registry)
-    publish_mapper_stats(mapper.stats, registry)
+    # publish every stats sink into the run's metrics (repro.obs.views
+    # declares the total field maps); its counts are this run's alone
+    metrics: dict = {}
+    publish_search_stats(result.stats, metrics)
+    publish_plan_stats(executor.stats, metrics)
+    publish_mapper_stats(mapper.stats, metrics)
     if cache_store is not None:
-        registry.counter("persist.loads").inc(cache_store.loads)
-        registry.counter("persist.misses").inc(
-            cache_store.misses + cache_store.load_rejects
-        )
-        registry.counter("persist.rejects").inc(cache_store.load_rejects)
-        registry.counter("persist.saves").inc(cache_store.saves)
-    registry.merge(result.stats.metrics)  # workers.* (process backend)
-    if pool is not None:
-        # the one-shot pool's supervision counters (worker failures,
-        # replacements, task replays); the service reports its own pool's
-        registry.merge(pool.supervisor.snapshot())
+        metrics["persist.loads"] = cache_store.loads
+        metrics["persist.misses"] = cache_store.misses + cache_store.load_rejects
+        metrics["persist.rejects"] = cache_store.load_rejects
+        metrics["persist.saves"] = cache_store.saves
+    # the process workers' workers.* / pool.* counts, and the one-shot pool's
+    # supervision counts (worker failures, replacements, task replays); the
+    # service adds its own pool's
+    add_counts(
+        metrics, result.stats.metrics, pool.supervisor if pool is not None else None
+    )
 
     return PipelineResult(
         interface=interface,
@@ -368,7 +366,7 @@ def generate_interface(
         best_reward=result.best_reward,
         candidates=candidates,
         executor_stats=executor.stats,
-        metrics=registry.as_dict(),
+        metrics=dict(sorted(metrics.items())),
     )
 
 

@@ -1,15 +1,14 @@
-"""repro.obs — spans, the unified metrics registry, and trace export.
+"""repro.obs — spans, a run's metrics, and trace export.
 
 Three small modules:
 
 * :mod:`repro.obs.trace` — the low-overhead span tracer (``with
   span("search.round", worker=w):``); a no-op singleton when disabled.
-* :mod:`repro.obs.metrics` — :class:`MetricsRegistry` of named counters /
-  gauges / histograms with picklable snapshots merged deterministically in
-  worker order.
-* :mod:`repro.obs.views` — the total field-by-field mapping from the stats
-  dataclasses (``PlanStats`` / ``SearchStats`` / ``RequestStats`` /
-  ``MapperStats``) onto registry metrics.
+* :mod:`repro.obs.views` — a run's metrics as one flat ``{name: number}``
+  dict: the total field-by-field mapping from the stats dataclasses
+  (``PlanStats`` / ``SearchStats`` / ``RequestStats`` / ``MapperStats``)
+  onto metric names, the ``publish_*`` writers, and :func:`add_counts`,
+  which adds per-worker and per-layer counts name by name.
 * :mod:`repro.obs.export` — JSONL and Chrome ``trace_event`` writers, the
   reader behind ``repro stats``, and phase/self-time attribution.
 """
@@ -23,22 +22,20 @@ from .export import (
     write_chrome_trace,
     write_jsonl,
 )
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .trace import TRACE_ENV_VAR, TRACER, SpanEvent, Tracer, span, trace_enabled
 from .views import (
     DETERMINISTIC_SEARCH_METRICS,
-    MAPPER_STATS_EXEMPT,
     REQUEST_STATS_COUNTERS,
     REQUEST_STATS_EXEMPT,
     REQUEST_STATS_GAUGES,
     SEARCH_STATS_COUNTERS,
     SEARCH_STATS_EXEMPT,
     SEARCH_STATS_GAUGES,
+    add_counts,
     publish_mapper_stats,
     publish_plan_stats,
     publish_request_stats,
     publish_search_stats,
-    registry_field_partition,
     worker_metrics_snapshot,
 )
 
@@ -49,10 +46,6 @@ __all__ = [
     "Tracer",
     "span",
     "trace_enabled",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "DETERMINISTIC_SEARCH_METRICS",
     "SEARCH_STATS_COUNTERS",
     "SEARCH_STATS_GAUGES",
@@ -60,8 +53,7 @@ __all__ = [
     "REQUEST_STATS_COUNTERS",
     "REQUEST_STATS_GAUGES",
     "REQUEST_STATS_EXEMPT",
-    "MAPPER_STATS_EXEMPT",
-    "registry_field_partition",
+    "add_counts",
     "publish_search_stats",
     "publish_plan_stats",
     "publish_mapper_stats",

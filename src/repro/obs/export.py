@@ -9,8 +9,7 @@ Two on-disk formats, one reader:
 * **Chrome trace** — the ``trace_event`` format chrome://tracing and
   Perfetto load directly: complete (``"ph": "X"``) events with microsecond
   ``ts``/``dur``, real ``pid``/``tid`` so each worker process gets its own
-  track, and the run's metrics registry embedded under
-  ``metadata.metrics``.
+  track, and the run's metrics dict embedded under ``metadata.metrics``.
 
 :func:`read_trace` auto-detects either format, so ``repro stats`` works on
 both.  :func:`phase_attribution` turns a span list into the
@@ -134,8 +133,8 @@ CACHE_ROWS = (
 def cache_hit_rates(metrics: dict) -> list[dict]:
     """Hit-rate rows built from the run's own counters (:data:`CACHE_ROWS`).
 
-    ``metrics`` is a flat ``{name: value}`` dict (``MetricsRegistry.as_dict``
-    shape).  A row appears when either of its counters is present; process
+    ``metrics`` is a run's flat ``{name: value}`` dict
+    (``PipelineResult.metrics``).  A row appears when either of its counters is present; process
     workers' ``workers.``-prefixed twins get ``workers.<row>`` rows.
     """
     rows = []

@@ -1,18 +1,21 @@
-"""Stats dataclasses as views over the metrics registry.
+"""A run's metrics: one flat ``{name: number}`` dict, published from the stats.
 
-``PlanStats`` / ``SearchStats`` / ``RequestStats`` / ``MapperStats`` remain
-the in-band collection surface (lock-free field bumps on hot paths, already
+``PlanStats`` / ``SearchStats`` / ``RequestStats`` / ``MapperStats`` are
+the in-band collection surface (plain field bumps on hot paths, already
 pickled through the sync protocols); this module is the single place that
-maps every one of their fields onto a registry metric — or explicitly
-exempts it, with the reason.  The caches keep no counters of their own:
-each plan-cache, mapping-memo and reward-table lookup is counted once, in
-the stats of the run that made it, and ``repro stats`` builds its hit-rate
-rows from those run counters.
+names every one of their fields as a metric — or explicitly exempts it,
+with the reason.  The ``publish_*`` functions write a stats object's
+counters into a metrics dict as ints and its gauges as floats, and
+:func:`add_counts` adds one dict of counts into another name by name,
+wherever per-worker or per-layer counts meet (the per-worker snapshots,
+the pipeline's run metrics, the service's request metrics).  The caches
+keep no counters of their own: each plan-cache, mapping-memo and
+reward-table lookup is counted once, in the stats of the run that made it,
+and ``repro stats`` builds its hit-rate rows from those run counters.
 
 The maps are *total* by contract: ``tests/test_obs.py`` asserts that the
-published and exempt field sets partition each dataclass exactly (mirroring
-``test_every_planner_flag_partitions_the_plan_cache``), so adding a stats
-field without deciding its registry story is a test failure, not silent
+published and exempt field sets partition each dataclass exactly, so adding
+a stats field without deciding its metric is a test failure, not silent
 per-worker drift.
 
 ``DETERMINISTIC_SEARCH_METRICS`` names the search metrics whose merged
@@ -26,8 +29,7 @@ are byte-identical.
 from __future__ import annotations
 
 import dataclasses
-
-from .metrics import MetricsRegistry
+from typing import Optional
 
 __all__ = [
     "SEARCH_STATS_COUNTERS",
@@ -36,15 +38,27 @@ __all__ = [
     "REQUEST_STATS_COUNTERS",
     "REQUEST_STATS_GAUGES",
     "REQUEST_STATS_EXEMPT",
-    "MAPPER_STATS_EXEMPT",
     "DETERMINISTIC_SEARCH_METRICS",
+    "add_counts",
     "publish_search_stats",
     "publish_plan_stats",
     "publish_mapper_stats",
     "publish_request_stats",
     "worker_metrics_snapshot",
-    "registry_field_partition",
 ]
+
+
+def add_counts(into: dict, *counts: Optional[dict]) -> dict:
+    """Add each ``counts`` dict into ``into``, name by name; returns ``into``.
+
+    A name missing from ``into`` starts at 0, so ints stay ints.  Addition
+    is order-free, so per-worker dicts add up to the same totals however
+    the workers were scheduled.
+    """
+    for more in counts:
+        for name, value in (more or {}).items():
+            into[name] = into.get(name, 0) + value
+    return into
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +77,7 @@ SEARCH_STATS_COUNTERS = {
     "sync_rounds": "search.sync_rounds",
 }
 
-#: field -> gauge name (point-in-time values; merge first-writer-wins)
+#: field -> gauge name (point-in-time values of the aggregate stats)
 SEARCH_STATS_GAUGES = {
     "best_reward": "search.best_reward",
     "best_iteration": "search.best_iteration",
@@ -72,12 +86,12 @@ SEARCH_STATS_GAUGES = {
     "warmup_seconds": "search.warmup_seconds",
 }
 
-#: field -> why it has no registry metric of its own
+#: field -> why it has no metric of its own
 SEARCH_STATS_EXEMPT = {
     "per_worker_iterations": "list breakdown; its sum is search.iterations",
     "backend": "string label, not a quantity; exported on spans and trace metadata",
     "pool": "string label (warm/cold), mirrored by service.* counters",
-    "metrics": "the per-worker registry snapshot itself (the merge payload)",
+    "metrics": "the per-worker metrics dict itself (the merge payload)",
     "spans": "per-worker span events shipped to the coordinator tracer",
     "degraded": "string rung label; counted via the search.degraded counter",
 }
@@ -101,14 +115,19 @@ DETERMINISTIC_SEARCH_METRICS = frozenset(
 )
 
 
-def publish_search_stats(stats, registry: MetricsRegistry) -> None:
-    """Publish one (aggregated) ``SearchStats`` into the registry."""
-    for fname, metric in sorted(SEARCH_STATS_COUNTERS.items()):
-        registry.counter(metric).inc(int(getattr(stats, fname)))
-    for fname, metric in sorted(SEARCH_STATS_GAUGES.items()):
-        registry.gauge(metric).set(float(getattr(stats, fname)))
+def _publish(stats, metrics: dict, counters: dict, gauges: dict) -> None:
+    """Write ``stats``' mapped fields: counters as ints, gauges as floats."""
+    for fname, name in counters.items():
+        metrics[name] = int(getattr(stats, fname))
+    for fname, name in gauges.items():
+        metrics[name] = float(getattr(stats, fname))
+
+
+def publish_search_stats(stats, metrics: dict) -> None:
+    """Write one (aggregated) ``SearchStats`` into ``metrics``."""
+    _publish(stats, metrics, SEARCH_STATS_COUNTERS, SEARCH_STATS_GAUGES)
     if getattr(stats, "degraded", None):
-        registry.counter("search.degraded").inc()
+        metrics["search.degraded"] = 1
 
 
 # ---------------------------------------------------------------------------
@@ -136,41 +155,34 @@ REQUEST_STATS_EXEMPT = {
 }
 
 
-def publish_request_stats(stats, registry: MetricsRegistry) -> None:
-    """Publish one service ``RequestStats`` (plus warm/cold request counters)."""
-    for fname, metric in sorted(REQUEST_STATS_COUNTERS.items()):
-        registry.counter(metric).inc(int(getattr(stats, fname)))
-    for fname, metric in sorted(REQUEST_STATS_GAUGES.items()):
-        registry.gauge(metric).set(float(getattr(stats, fname)))
-    registry.counter("service.requests").inc()
+def publish_request_stats(stats, metrics: dict) -> None:
+    """Write one service ``RequestStats`` (plus warm/cold request counters)."""
+    _publish(stats, metrics, REQUEST_STATS_COUNTERS, REQUEST_STATS_GAUGES)
+    metrics["service.requests"] = 1
     if stats.pool == "warm":
-        registry.counter("service.requests_warm").inc()
+        metrics["service.requests_warm"] = 1
     elif stats.pool == "cold":
-        registry.counter("service.requests_cold").inc()
+        metrics["service.requests_cold"] = 1
     degraded = getattr(stats, "degraded", None)
     if degraded:
-        registry.counter(f"service.degraded_{degraded.replace('-', '_')}").inc()
+        metrics[f"service.degraded_{degraded.replace('-', '_')}"] = 1
 
 
 # ---------------------------------------------------------------------------
 # PlanStats (planner / executor) and MapperStats (Algorithm 1)
 # ---------------------------------------------------------------------------
 
-MAPPER_STATS_EXEMPT: dict = {}
 
-
-def publish_plan_stats(stats, registry: MetricsRegistry, prefix: str = "executor") -> None:
-    """Publish every ``PlanStats`` counter under ``<prefix>.*``."""
+def publish_plan_stats(stats, metrics: dict, prefix: str = "executor") -> None:
+    """Write every ``PlanStats`` counter under ``<prefix>.*``."""
     for fld in dataclasses.fields(stats):
-        registry.counter(f"{prefix}.{fld.name}").inc(int(getattr(stats, fld.name)))
+        metrics[f"{prefix}.{fld.name}"] = int(getattr(stats, fld.name))
 
 
-def publish_mapper_stats(stats, registry: MetricsRegistry, prefix: str = "mapping") -> None:
-    """Publish every ``MapperStats`` counter under ``<prefix>.*``."""
+def publish_mapper_stats(stats, metrics: dict, prefix: str = "mapping") -> None:
+    """Write every ``MapperStats`` counter under ``<prefix>.*``."""
     for fld in dataclasses.fields(stats):
-        if fld.name in MAPPER_STATS_EXEMPT:
-            continue
-        registry.counter(f"{prefix}.{fld.name}").inc(int(getattr(stats, fld.name)))
+        metrics[f"{prefix}.{fld.name}"] = int(getattr(stats, fld.name))
 
 
 # ---------------------------------------------------------------------------
@@ -179,37 +191,17 @@ def publish_mapper_stats(stats, registry: MetricsRegistry, prefix: str = "mappin
 
 
 def worker_metrics_snapshot(plan_stats, mapper_stats, extra=None) -> dict:
-    """One worker process's picklable registry snapshot (``workers.*``).
+    """One worker process's metrics for one task (``workers.*``).
 
     Built at ``finish`` time from the worker's stats sinks, which count one
-    task (the pool zeroes them at task start); ``extra`` folds in a
-    persistent registry the worker kept itself (the pool's setup-cache
-    counters).  The coordinator merges these snapshots in worker order, so
-    the totals are deterministic — but the work they count ran over
-    *per-process* caches, which is why they live in their own namespace
+    task (the pool zeroes them at task start); ``extra`` adds the counts the
+    pool worker kept for the same task (its setup-cache counters).  The
+    coordinator adds these dicts up; the work they count ran over
+    *per-process* caches, which is why it lives in its own namespace
     instead of the ``executor.*`` / ``mapping.*`` metrics the parent
     publishes.
     """
-    registry = MetricsRegistry()
-    publish_plan_stats(plan_stats, registry, prefix="workers.executor")
-    publish_mapper_stats(mapper_stats, registry, prefix="workers.mapping")
-    if extra:
-        registry.merge(extra)
-    return registry.snapshot()
-
-
-# ---------------------------------------------------------------------------
-# completeness contract
-# ---------------------------------------------------------------------------
-
-
-def registry_field_partition(stats_cls, counters: dict, gauges: dict, exempt: dict):
-    """``(fields, covered)`` sets for the completeness test of ``stats_cls``.
-
-    ``covered`` is the union of the mapped and exempt field names; the test
-    asserts it equals the dataclass's actual field set and that the three
-    maps are pairwise disjoint.
-    """
-    fields = {f.name for f in dataclasses.fields(stats_cls)}
-    covered = set(counters) | set(gauges) | set(exempt)
-    return fields, covered
+    metrics: dict = {}
+    publish_plan_stats(plan_stats, metrics, prefix="workers.executor")
+    publish_mapper_stats(mapper_stats, metrics, prefix="workers.mapping")
+    return add_counts(metrics, extra)

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Protocol, Sequence
 
 from ...difftree.nodes import worker_id_counter
 from ...difftree.tree import Difftree
-from ...obs import MetricsRegistry
+from ...obs import add_counts
 from ..config import SearchConfig, SearchStats
 from ..mcts import MCTSWorker, RewardFn
 from ..state import SearchState
@@ -248,17 +248,6 @@ def aggregate_stats(
     warmup_seconds: float = 0.0,
 ) -> SearchStats:
     """Fold per-worker statistics into the aggregate :class:`SearchStats`."""
-    # per-worker registry snapshots (process-backend workers ship theirs in
-    # the "done" reply) merge in worker order — the reward table's
-    # first-writer-wins discipline — so the totals are deterministic under
-    # any scheduling
-    merged_metrics = None
-    snapshots = [w.metrics for w in worker_stats if w.metrics]
-    if snapshots:
-        registry = MetricsRegistry()
-        for snapshot in snapshots:
-            registry.merge(snapshot)
-        merged_metrics = registry.snapshot()
     return SearchStats(
         iterations=total_iterations,
         states_evaluated=sum(w.states_evaluated for w in worker_stats),
@@ -277,7 +266,9 @@ def aggregate_stats(
         reward_table_hits=sum(w.reward_table_hits for w in worker_stats),
         sync_rounds=sync_rounds,
         warmup_seconds=warmup_seconds,
-        metrics=merged_metrics,
+        # process-backend workers ship their task's counts in the "done"
+        # reply; serial workers ship none
+        metrics=add_counts({}, *(w.metrics for w in worker_stats)) or None,
     )
 
 

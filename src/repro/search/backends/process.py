@@ -29,14 +29,15 @@ coordinator → worker      meaning
 worker → coordinator      meaning
 ========================  ===================================================
 ``("ready",)``            catalogue attached; the worker idles for tasks
-``("task-ready",          request context built, initial state evaluated;
-  warmup_s, metrics)``    ``metrics`` is the worker's pool-lifetime registry
+``("task-ready",          request context built, initial state evaluated
+  warmup_s)``
 ``("sync", seq, fp,       end-of-round report: the round sequence number,
   reward, state?,         best fingerprint + reward, serialized trees only
   pending, stale)``       when the best changed since the last report, this
                           round's reward delta, and the staleness counter
 ``("done", state, reward, final best state (serialized), reward, and the
-  stats)``                worker's :class:`SearchStats`
+  stats)``                worker's :class:`SearchStats`, whose ``metrics``
+                          hold this task's ``workers.*`` and ``pool.*`` counts
 ``("aborted",)``          the task was dropped; the worker is idle again
 ``("bye",)``              acknowledges ``shutdown``
 ``("error", repr)``       an exception escaped the worker loop
@@ -165,7 +166,7 @@ def serve_search(
     The pool's worker main (:mod:`repro.service.pool`) calls this once per
     task and then returns to its idle loop.  On ``finish`` the worker's
     :class:`SearchStats` carry ``metrics_snapshot()``: this task's
-    ``workers.*`` counters, which the coordinator merges in worker order.
+    ``workers.*`` and ``pool.*`` counts, which the coordinator adds up.
     Returns ``True`` when the search finished, ``False`` when the
     coordinator aborted it (supervision is replaying the task after another
     worker failed).

@@ -149,11 +149,11 @@ class SearchStats:
     #: persisted cache file or a previous request over the same catalogue /
     #: workload); these states are never re-evaluated
     reward_table_loaded: int = 0
-    #: picklable per-worker metrics-registry snapshot
-    #: (:meth:`repro.obs.metrics.MetricsRegistry.snapshot`): process-backend
-    #: workers attach theirs to the ``done`` reply and the coordinator merges
-    #: them — in worker order, like the reward table — into the aggregate
-    #: stats' ``workers.*`` namespace
+    #: a worker's metrics for this task as a flat ``{name: count}`` dict
+    #: (:func:`repro.obs.views.worker_metrics_snapshot`): process-backend
+    #: workers attach theirs to the ``done`` reply, and the aggregate stats
+    #: carry their sum (:func:`repro.obs.views.add_counts`) under
+    #: ``workers.*`` and ``pool.*``
     metrics: Optional[dict] = None
     #: span events (:class:`repro.obs.trace.SpanEvent`) a worker process
     #: recorded while tracing was enabled; the coordinator adopts them into

@@ -110,7 +110,7 @@ class CacheStore:
     def __init__(self, root: str) -> None:
         self.root = Path(root)
         #: load/save outcomes for observability (CLI summaries, tests, and
-        #: the run registry's ``persist.*`` counters)
+        #: the run metrics' ``persist.*`` counters)
         self.loads = 0
         self.load_rejects = 0
         self.saves = 0

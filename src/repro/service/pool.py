@@ -63,7 +63,7 @@ from ..core.pipeline import build_reward_setup, make_reward_fn
 from ..database.catalog import Catalog
 from ..difftree.nodes import worker_id_counter
 from ..faults import DeadlineExceeded, WorkerFailure, backoff_delays
-from ..obs import MetricsRegistry, span, worker_metrics_snapshot
+from ..obs import add_counts, span, worker_metrics_snapshot
 from ..search.backends.base import RewardTable, load_state
 from ..search.backends.process import (
     check_reply,
@@ -169,10 +169,6 @@ def _pooled_worker_main(conn, spec_bytes: bytes, worker_index: int) -> None:
         catalog = spec.materialize()
         #: context sha256 -> (reward setup, unpickled pipeline config, engine)
         setups: OrderedDict[str, tuple] = OrderedDict()
-        # pool-lifetime counters: they persist across tasks, so a snapshot is
-        # cumulative — a warm task's setup_cache_hits counts every task this
-        # worker has served
-        registry = MetricsRegistry()
         conn.send(("ready",))
         while True:
             # idle loop: the pool owner's death surfaces as EOFError below
@@ -190,11 +186,8 @@ def _pooled_worker_main(conn, spec_bytes: bytes, worker_index: int) -> None:
                 context_key = hashlib.sha256(context_bytes).hexdigest()
                 cached = setups.get(context_key)
                 if cached is None:
-                    registry.counter("pool.setup_cache_misses").inc()
-                else:
-                    registry.counter("pool.setup_cache_hits").inc()
-                registry.counter("pool.tasks").inc()
-                if cached is None:
+                    # this task's counts only: a fresh dict per task
+                    counts = {"pool.setup_cache_misses": 1, "pool.tasks": 1}
                     asts, pipeline_config = pickle.loads(context_bytes)
                     setup = build_reward_setup(catalog, asts, pipeline_config)
                     # the engine is cached *per context*, never shared across
@@ -212,6 +205,7 @@ def _pooled_worker_main(conn, spec_bytes: bytes, worker_index: int) -> None:
                     while len(setups) > _SETUP_CACHE_SIZE:
                         setups.popitem(last=False)
                 else:
+                    counts = {"pool.setup_cache_hits": 1, "pool.tasks": 1}
                     setups.move_to_end(context_key)
                     setup, pipeline_config, engine = cached
                 # the cached setup's stats count this task only: zero them in
@@ -232,13 +226,11 @@ def _pooled_worker_main(conn, spec_bytes: bytes, worker_index: int) -> None:
                     id_space=worker_id_counter(worker_index),
                 )
                 warmup_seconds = time.perf_counter() - warmup_start
-                # with this worker's pool-lifetime metric snapshot, merged by
-                # the coordinator at the task-ready barrier
-                conn.send(("task-ready", warmup_seconds, registry.snapshot()))
+                conn.send(("task-ready", warmup_seconds))
 
-                def metrics_snapshot(setup=setup):
+                def metrics_snapshot(setup=setup, counts=counts):
                     return worker_metrics_snapshot(
-                        setup.executor.stats, setup.mapper.stats, extra=registry.snapshot()
+                        setup.executor.stats, setup.mapper.stats, extra=counts
                     )
 
                 serve_search(
@@ -288,15 +280,10 @@ class WorkerPool:
         self.workers = max(1, workers)
         self.tasks_served = 0
         self.closed = False
-        #: merged pool-lifetime worker metrics, refreshed at every task-ready
-        #: barrier (see :meth:`run_task`)
-        self.metrics = MetricsRegistry()
-        #: coordinator-side supervision counters (worker failures, respawns,
-        #: task replays); the service folds these into each request's view
-        self.supervisor = MetricsRegistry()
-        #: workers respawned over the pool's lifetime (mirrors the
-        #: ``pool.workers_replaced`` supervisor counter)
-        self.workers_replaced = 0
+        #: coordinator-side supervision counts over the pool's lifetime
+        #: (worker failures, respawns, task replays, reclaimed shared-memory
+        #: segments); a request reports how much they grew while it ran
+        self.supervisor: dict[str, int] = {}
         self._registry: Optional[SharedCatalogRegistry] = None
 
         spawn_start = time.perf_counter()
@@ -305,7 +292,7 @@ class WorkerPool:
             self._registry = SharedCatalogRegistry()
             spec.manifest = self._registry.register(catalog)
             if self._registry.reclaimed_segments:
-                self.supervisor.counter("shm.reclaimed_segments").inc(
+                self.supervisor["shm.reclaimed_segments"] = (
                     self._registry.reclaimed_segments
                 )
         except Exception:
@@ -383,8 +370,7 @@ class WorkerPool:
         self._connections[index] = conn
         self._processes[index] = process
         self._await_ready(index)
-        self.workers_replaced += 1
-        self.supervisor.counter("pool.workers_replaced").inc()
+        add_counts(self.supervisor, {"pool.workers_replaced": 1})
 
     def _recover(self, search_config) -> None:
         """Bring every worker back to a known-idle state after a failure.
@@ -462,10 +448,13 @@ class WorkerPool:
                 self.close()
                 raise
             except WorkerFailure as failure:
-                self.supervisor.counter("pool.worker_failures").inc()
-                self.supervisor.counter(
-                    f"pool.worker_failures_{failure.kind}"
-                ).inc()
+                add_counts(
+                    self.supervisor,
+                    {
+                        "pool.worker_failures": 1,
+                        f"pool.worker_failures_{failure.kind}": 1,
+                    },
+                )
                 out_of_budget = request_deadline_at is not None and (
                     time.monotonic() >= request_deadline_at
                 )
@@ -490,7 +479,7 @@ class WorkerPool:
                     task["table_seed"] = coordinator_table.snapshot()
                 time.sleep(delays[attempt])
                 attempt += 1
-                self.supervisor.counter("pool.task_retries").inc()
+                add_counts(self.supervisor, {"pool.task_retries": 1})
             except Exception:
                 # a non-supervision error desynchronizes the protocol: the
                 # pool cannot serve further tasks, so release everything now
@@ -513,7 +502,6 @@ class WorkerPool:
                 raise WorkerFailure(
                     index, "crashed", f"task broadcast failed ({exc!r})"
                 ) from exc
-        replies = []
         for index, conn in enumerate(self._connections):
             deadline_at = (
                 time.monotonic() + round_deadline if round_deadline else None
@@ -525,15 +513,7 @@ class WorkerPool:
                 request_deadline_at=request_deadline_at,
                 worker=index,
             )
-            replies.append(check_reply(reply, "task-ready", worker=index))
-        # merge the per-worker pool-lifetime snapshots deterministically
-        # (worker order); snapshots are cumulative, so the merged registry
-        # is rebuilt from the latest snapshot of every worker rather than
-        # accumulated across tasks
-        merged = MetricsRegistry()
-        for reply in replies:
-            merged.merge(reply[2])
-        self.metrics = merged
+            check_reply(reply, "task-ready", worker=index)
         outcome = drive_search(
             self._connections,
             search_config,

@@ -51,7 +51,7 @@ from ..database.catalog import Catalog
 from ..database.datasets import standard_catalog
 from ..difftree.builder import parse_queries
 from ..faults import DeadlineExceeded, GenerationFailure, WorkerFailure
-from ..obs import MetricsRegistry, publish_request_stats, span
+from ..obs import add_counts, publish_request_stats, span
 from ..search.backends import (
     ProcessBackend,
     RewardTable,
@@ -154,11 +154,14 @@ class GenerationService:
         if pool is not None:
             pool.close()
 
-    def _pool_counter_delta(self, name: str, base: int) -> int:
-        """How much the live pool's supervisor counter grew past ``base``."""
-        if self._pool is None:
-            return 0
-        return max(0, int(self._pool.supervisor.value(name, 0)) - base)
+    def _supervisor_growth(self, before: dict) -> dict:
+        """How much the live pool's supervisor counts grew past ``before``."""
+        now = self._pool.supervisor if self._pool is not None else {}
+        return {
+            name: count - before.get(name, 0)
+            for name, count in now.items()
+            if count > before.get(name, 0)
+        }
 
     # -- requests -------------------------------------------------------------
 
@@ -194,8 +197,8 @@ class GenerationService:
         pool_state: Optional[str] = None
         degraded: Optional[str] = None
         deadline_exceeded = False
-        retries = 0
-        replaced = 0
+        # the supervisor counts this request added, over every pool rung
+        pool_counts: dict = {}
         result: Optional[PipelineResult] = None
         for rung in rungs:
             terminal = rung in ("serial", "direct")
@@ -212,15 +215,13 @@ class GenerationService:
                 degraded = "fresh-pool"
             elif rung == "serial":
                 degraded = "serial"
-            base_retries = base_replaced = 0
+            # taken before the rung builds or reuses the pool, so a pool built
+            # here reports its construction counts to this request
+            before = dict(self._pool.supervisor) if self._pool is not None else {}
             try:
                 if rung in ("pool", "fresh-pool"):
                     pool = self._live_pool(config)
                     pool_state = "warm" if pool.warm else "cold"
-                    base_retries = int(pool.supervisor.value("pool.task_retries", 0))
-                    base_replaced = int(
-                        pool.supervisor.value("pool.workers_replaced", 0)
-                    )
                     runtime = GenerationRuntime(
                         backend=ProcessBackend(pool, asts, config),
                         reward_table=table,
@@ -247,18 +248,12 @@ class GenerationService:
                     result = generate_interface(
                         asts, catalog=self.catalog, config=config, runtime=runtime
                     )
-                retries += self._pool_counter_delta("pool.task_retries", base_retries)
-                replaced += self._pool_counter_delta(
-                    "pool.workers_replaced", base_replaced
-                )
+                add_counts(pool_counts, self._supervisor_growth(before))
                 break
             except (WorkerFailure, DeadlineExceeded) as exc:
-                # harvest the failed rung's supervision counters before the
+                # harvest the failed rung's supervision counts before the
                 # pool object is dropped, then step down the ladder
-                retries += self._pool_counter_delta("pool.task_retries", base_retries)
-                replaced += self._pool_counter_delta(
-                    "pool.workers_replaced", base_replaced
-                )
+                add_counts(pool_counts, self._supervisor_growth(before))
                 if isinstance(exc, DeadlineExceeded):
                     deadline_exceeded = True
                 self._reset_pool()
@@ -283,21 +278,18 @@ class GenerationService:
             reward_table_loaded=loaded,
             reward_table_hits=stats.reward_table_hits,
             backend=stats.backend,
-            retries=retries,
-            workers_replaced=replaced,
+            retries=pool_counts.get("pool.task_retries", 0),
+            workers_replaced=pool_counts.get("pool.workers_replaced", 0),
             degraded=degraded,
             deadline_exceeded=deadline_exceeded,
         )
         self.requests.append(request)
-        # fold the request view into the run's metrics so service.* rides
-        # along in trace/stats exports
-        registry = MetricsRegistry()
-        publish_request_stats(request, registry)
-        if self._pool is not None:
-            registry.merge(self._pool.metrics.snapshot())
-            registry.merge(self._pool.supervisor.snapshot())
+        # add the request's service.* and pool supervision counts to the
+        # run's metrics so they ride along in trace/stats exports
+        request_metrics = dict(pool_counts)
+        publish_request_stats(request, request_metrics)
         if result.metrics is not None:
-            result.metrics.update(registry.as_dict())
+            add_counts(result.metrics, dict(sorted(request_metrics.items())))
         return result
 
     def generate_workload(self, workload, config: Optional[PipelineConfig] = None):

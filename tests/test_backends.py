@@ -103,8 +103,11 @@ def test_process_backend_determinism_pinned():
 
 
 def test_shared_rewards_reduce_evaluations():
-    """The reward table answers states other workers already evaluated."""
+    """The reward table answers states other workers already evaluated, and
+    changes only the work: rewards are pure functions of (seed, state), so
+    the interface is the same with sharing on and off."""
     stats = {}
+    signatures = {}
     table = RewardTable()
     for shared in (True, False):
         catalog = standard_catalog(seed=11, scale=0.12)
@@ -116,6 +119,12 @@ def test_shared_rewards_reduce_evaluations():
             WORKLOADS["filter"], catalog=catalog, config=config, runtime=runtime
         )
         stats[shared] = result.search_stats
+        signatures[shared] = (
+            _interface_signature(result),
+            result.best_reward,
+            result.state.fingerprint(),
+        )
+    assert signatures[True] == signatures[False]
     assert stats[True].reward_table_hits > 0
     assert stats[False].reward_table_hits == 0
     assert stats[True].states_evaluated < stats[False].states_evaluated

@@ -93,6 +93,19 @@ def test_generate_summary_names_fallback_reason(capsys):
     assert "plan-gated" not in line and "reason" not in line, line
 
 
+def test_generate_summary_counts_process_workers_columnar_executions(capsys):
+    """A process run's columnar line adds the workers' executions, which
+    arrive in the run's metrics under ``workers.*``."""
+    code = main(
+        ["generate", "--workload", "filter", "--backend", "process", "--scale", "0.12"]
+    )
+    assert code == 0
+    out = capsys.readouterr().out
+    line = next(ln for ln in out.splitlines() if ln.startswith("columnar:"))
+    assert re.fullmatch(r"columnar: executions=\d+ workers=[1-9]\d*", line), line
+    assert "not merged" not in out
+
+
 def test_parser_structure():
     parser = build_parser()
     args = parser.parse_args(["generate", "--workload", "explore"])

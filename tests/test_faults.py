@@ -157,6 +157,26 @@ def test_killed_worker_is_replaced_and_task_replayed(
     assert token.exists()  # the fault really fired
 
 
+def test_clean_request_after_a_fault_reports_only_its_own_recovery(tmp_path):
+    """The pool's supervision counts are lifetime totals; a request's metrics
+    carry only what they grew by while it ran, like its ``RequestStats``."""
+    token = tmp_path / "kill.tok"
+    with GenerationService(catalog=_catalog(), config=_config()) as service:
+        faults.install(f"kill-worker-before-sync:worker=1:once={token}")
+        try:
+            faulted = service.generate(QUERIES)
+        finally:
+            faults.reset()
+        clean = service.generate(WARMUP_QUERIES)
+        faulted_stats, clean_stats = service.requests
+    assert token.exists()
+    assert faulted_stats.retries >= 1 and faulted_stats.workers_replaced >= 1
+    for result, stats in ((faulted, faulted_stats), (clean, clean_stats)):
+        assert result.metrics.get("pool.task_retries", 0) == stats.retries
+        assert result.metrics.get("pool.workers_replaced", 0) == stats.workers_replaced
+    assert clean_stats.retries == clean_stats.workers_replaced == 0
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_hung_worker_trips_round_deadline_and_is_replaced(
     tmp_path, mode, baseline_signature

@@ -1,17 +1,16 @@
-"""repro.obs: tracer, metrics registry, views, exporters, and the contracts.
+"""repro.obs: tracer, run metrics, views, exporters, and the contracts.
 
 The two load-bearing guarantees, each pinned here:
 
 * **Observability never perturbs results** — interfaces are byte-identical
   with tracing on vs. off across every workload log (the dynamic backstop of
   the ``no-wallclock-in-key`` static rule).
-* **Per-worker snapshots merge deterministically** — the process backend
+* **Per-worker counts add up deterministically** — the process backend
   with 2+ workers reports the same ``DETERMINISTIC_SEARCH_METRICS`` totals
   as the serial backend on pinned seeds.
 
 Plus the completeness contract: every ``SearchStats`` / ``RequestStats``
-field is registry-backed or explicitly exempted (mirroring
-``test_every_planner_flag_partitions_the_plan_cache``).
+field is published as a metric or explicitly exempted.
 """
 
 import dataclasses
@@ -26,7 +25,6 @@ from repro.database.planner import PlanStats
 from repro.mapping.mapper import MapperStats
 from repro.obs import (
     DETERMINISTIC_SEARCH_METRICS,
-    MAPPER_STATS_EXEMPT,
     REQUEST_STATS_COUNTERS,
     REQUEST_STATS_EXEMPT,
     REQUEST_STATS_GAUGES,
@@ -34,15 +32,16 @@ from repro.obs import (
     SEARCH_STATS_EXEMPT,
     SEARCH_STATS_GAUGES,
     TRACER,
-    MetricsRegistry,
     SpanEvent,
     Tracer,
+    add_counts,
     cache_hit_rates,
     phase_attribution,
     publish_mapper_stats,
     publish_plan_stats,
+    publish_search_stats,
     read_trace,
-    registry_field_partition,
+    worker_metrics_snapshot,
     write_chrome_trace,
     write_jsonl,
 )
@@ -144,47 +143,38 @@ def test_event_buffer_is_bounded_and_counts_drops():
     assert len(tracer.events()) == 2 and tracer.dropped == 4
 
 
-# -- metrics registry -----------------------------------------------------------
+# -- run metrics ----------------------------------------------------------------
 
 
-def test_registry_counter_gauge_histogram_roundtrip():
-    registry = MetricsRegistry()
-    registry.counter("search.iterations").inc(3)
-    registry.counter("search.iterations").inc()
-    registry.gauge("search.best_reward").set(-2.5)
-    registry.histogram("executor.rows").observe(10)
-    registry.histogram("executor.rows").observe(30)
-    assert registry.value("search.iterations") == 4
-    assert registry.value("search.best_reward") == -2.5
-    flat = registry.as_dict()
-    assert flat["executor.rows"]["count"] == 2
-    assert flat["executor.rows"]["total"] == 40
-    assert flat["executor.rows"]["min"] == 10 and flat["executor.rows"]["max"] == 30
-    with pytest.raises(TypeError):
-        registry.gauge("search.iterations")  # kind mismatch on an existing name
+def test_worker_counts_add_name_by_name_and_stay_json_plain():
+    def worker_snapshot(plans: int, memo_hits: int, lookup: str) -> dict:
+        plan_stats, mapper_stats = PlanStats(), MapperStats()
+        plan_stats.plans_compiled = plans
+        mapper_stats.memo_hits = memo_hits
+        return worker_metrics_snapshot(
+            plan_stats, mapper_stats, extra={lookup: 1, "pool.tasks": 1}
+        )
 
-
-def test_snapshot_merge_is_deterministic_and_gauges_first_writer_win():
-    def worker_snapshot(iterations: int, reward: float) -> dict:
-        registry = MetricsRegistry()
-        registry.counter("search.iterations").inc(iterations)
-        registry.gauge("search.best_reward").set(reward)
-        return registry.snapshot()
-
-    snapshots = [worker_snapshot(10, -1.0), worker_snapshot(20, -9.0)]
-    merged_a = MetricsRegistry()
-    for snapshot in snapshots:
-        merged_a.merge(snapshot)
-    merged_b = MetricsRegistry()
-    for snapshot in snapshots:
-        merged_b.merge(snapshot)
-    # counters add; gauges keep the first writer (worker order), like the
-    # reward table's first-writer-wins merge
-    assert merged_a.value("search.iterations") == 30
-    assert merged_a.value("search.best_reward") == -1.0
-    assert merged_a.as_dict() == merged_b.as_dict()
-    # snapshots are picklable-plain: only builtin containers and scalars
-    assert json.dumps(snapshots[0]) is not None
+    snapshots = [
+        worker_snapshot(2, 5, "pool.setup_cache_misses"),
+        worker_snapshot(3, 0, "pool.setup_cache_hits"),
+    ]
+    forward = add_counts({}, *snapshots)
+    backward = add_counts({}, *reversed(snapshots))
+    # counts add name by name, whatever order the workers report in
+    assert forward == backward
+    assert forward["workers.executor.plans_compiled"] == 5
+    assert forward["workers.mapping.memo_hits"] == 5
+    assert forward["pool.tasks"] == 2
+    assert forward["pool.setup_cache_misses"] == forward["pool.setup_cache_hits"] == 1
+    assert all(type(value) is int for value in forward.values())
+    # a name missing on one side starts at zero; None adds nothing
+    assert add_counts({"search.iterations": 3}, {"search.iterations": 1}, None) == {
+        "search.iterations": 4
+    }
+    # snapshots are plain builtins: they pickle through the sync messages
+    # and land in JSON trace exports as they are
+    assert json.loads(json.dumps(forward)) == forward
 
 
 # -- exporters ------------------------------------------------------------------
@@ -275,13 +265,12 @@ def test_stats_cache_rows_count_only_their_run():
     assert plan.plan_cache_hits > 0 and mapper.memo_hits > 0
 
 
-# -- completeness: stats dataclasses as registry views --------------------------
+# -- completeness: every stats field is a metric or exempt ----------------------
 
 
-def _published_fields(stats_cls, exempt):
-    """PlanStats/MapperStats publish every non-exempt field by name."""
-    names = {f.name for f in dataclasses.fields(stats_cls)} - set(exempt)
-    return {name: name for name in sorted(names)}
+def _published_fields(stats_cls):
+    """PlanStats/MapperStats publish every field by name."""
+    return {f.name: f.name for f in dataclasses.fields(stats_cls)}
 
 
 @pytest.mark.parametrize(
@@ -291,23 +280,22 @@ def _published_fields(stats_cls, exempt):
          SEARCH_STATS_EXEMPT),
         (RequestStats, REQUEST_STATS_COUNTERS, REQUEST_STATS_GAUGES,
          REQUEST_STATS_EXEMPT),
-        (PlanStats, _published_fields(PlanStats, {}), {}, {}),
-        (MapperStats, _published_fields(MapperStats, MAPPER_STATS_EXEMPT), {},
-         MAPPER_STATS_EXEMPT),
+        (PlanStats, _published_fields(PlanStats), {}, {}),
+        (MapperStats, _published_fields(MapperStats), {}, {}),
     ],
     ids=["SearchStats", "RequestStats", "PlanStats", "MapperStats"],
 )
 def test_every_stats_field_is_registry_backed_or_exempt(
     stats_cls, counters, gauges, exempt
 ):
-    """Adding a stats field without deciding its registry story must fail
-    here, not drift silently (the observability mirror of
-    ``test_every_planner_flag_partitions_the_plan_cache``)."""
-    fields, covered = registry_field_partition(stats_cls, counters, gauges, exempt)
+    """Adding a stats field without deciding its metric must fail here, not
+    drift silently: the published and exempt fields partition the class."""
+    fields = {f.name for f in dataclasses.fields(stats_cls)}
+    covered = set(counters) | set(gauges) | set(exempt)
     missing = fields - covered
     stale = covered - fields
     assert not missing, f"unmapped {stats_cls.__name__} fields: {sorted(missing)}"
-    assert not stale, f"stale registry mappings: {sorted(stale)}"
+    assert not stale, f"stale metric mappings: {sorted(stale)}"
     assert not (set(counters) & set(gauges))
     assert not (set(counters) & set(exempt))
     assert not (set(gauges) & set(exempt))
@@ -317,19 +305,28 @@ def test_plan_and_mapper_stats_publish_every_field():
     plan_stats = PlanStats()
     plan_stats.plans_compiled = 2
     plan_stats.columnar_executions = 3
-    registry = MetricsRegistry()
-    publish_plan_stats(plan_stats, registry)
-    assert registry.value("executor.plans_compiled") == 2
-    assert registry.value("executor.columnar_executions") == 3
-    # one counter per field, nothing else
-    assert sorted(registry.as_dict()) == sorted(
+    metrics: dict = {}
+    publish_plan_stats(plan_stats, metrics)
+    assert metrics["executor.plans_compiled"] == 2
+    assert metrics["executor.columnar_executions"] == 3
+    # one int counter per field, nothing else
+    assert sorted(metrics) == sorted(
         f"executor.{f.name}" for f in dataclasses.fields(PlanStats)
     )
+    assert all(type(value) is int for value in metrics.values())
 
     mapper_stats = MapperStats()
     mapper_stats.memo_hits = 5
-    publish_mapper_stats(mapper_stats, registry)
-    assert registry.value("mapping.memo_hits") == 5
+    publish_mapper_stats(mapper_stats, metrics)
+    assert metrics["mapping.memo_hits"] == 5
+
+    # search stats: counters as ints, gauges as floats
+    search_stats = SearchStats(iterations=4, best_reward=-2.5, early_stopped=True)
+    publish_search_stats(search_stats, metrics)
+    assert metrics["search.iterations"] == 4
+    assert type(metrics["search.iterations"]) is int
+    assert metrics["search.best_reward"] == -2.5
+    assert type(metrics["search.early_stopped"]) is float
 
 
 # -- the two cross-cutting contracts --------------------------------------------
@@ -348,7 +345,7 @@ def test_process_and_serial_registry_totals_match_on_pinned_seed():
             config=_backend_config(backend, workers=2),
         )
         assert result.search_stats.backend == backend
-        assert result.metrics, "pipeline must publish the run registry"
+        assert result.metrics, "pipeline must publish the run metrics"
         totals[backend] = {
             name: result.metrics.get(name) for name in DETERMINISTIC_SEARCH_METRICS
         }
@@ -389,6 +386,6 @@ def test_traced_pipeline_covers_at_least_five_subsystems():
     )
     categories = {event.category for event in TRACER.events()}
     assert len(categories) >= 5, categories
-    # and the run registry rode along on the result
+    # and the run metrics rode along on the result
     assert result.metrics["search.iterations"] > 0
     assert any(row["cache"] == "plan" for row in cache_hit_rates(result.metrics))

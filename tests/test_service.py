@@ -163,6 +163,21 @@ def test_service_in_process_backend_reuses_reward_table():
     assert _signature(first) == _signature(second)
 
 
+def test_warm_requests_report_only_their_own_pool_work():
+    """``pool.*`` counts in a request's metrics are that request's: every
+    worker served one task and found its reward setup cached, whatever the
+    pool served before."""
+    config = _service_config("process")
+    config.search.workers = workers = 2
+    with GenerationService(_fresh_catalog(), config=config) as service:
+        first, *warm = [service.generate(QUERIES).metrics for _ in range(3)]
+    assert first["pool.tasks"] == first["pool.setup_cache_misses"] == workers
+    for metrics in warm:
+        assert metrics["pool.tasks"] == workers
+        assert metrics["pool.setup_cache_hits"] == workers
+        assert metrics.get("pool.setup_cache_misses", 0) == 0
+
+
 def test_service_rejects_requests_after_close():
     service = GenerationService(_fresh_catalog(), config=_service_config("serial"))
     service.close()
