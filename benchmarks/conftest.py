@@ -31,7 +31,7 @@ BENCH_SCALE = 0.15
 
 #: Format version of the ``BENCH_*.json`` perf-trajectory artifacts; bump
 #: when the schema block or the meaning of stamped fields changes.
-BENCH_SCHEMA_VERSION = 2
+BENCH_SCHEMA_VERSION = 3
 
 #: Repo root — every ``BENCH_*.json`` lands here so CI's artifact glob
 #: (``BENCH_*.json``) picks all of them up without per-benchmark wiring.
@@ -51,7 +51,8 @@ def write_bench_json(
     with the same ``schema`` header — format version, bench name, the units
     measured values are in, the thresholds the benchmark asserts
     (``required``), and the machine facts a number needs to be compared:
-    the git commit (``null`` outside a checkout), the Python version and
+    the git commit and whether ``src/`` or ``benchmarks/`` differed from it
+    (``dirty``; both ``null`` outside a checkout), the Python version and
     the cores this process may run on — so downstream perf tracking can
     parse any artifact without knowing which benchmark wrote it.  The
     measured ``payload`` follows verbatim.
@@ -63,7 +64,8 @@ def write_bench_json(
             "bench": bench,
             "units": units,
             "required": dict(required or {}),
-            "commit": _git_commit(),
+            "commit": _git(["rev-parse", "HEAD"]) or None,
+            "dirty": _git_dirty(),
             "python": platform.python_version(),
             "usable_cores": len(os.sched_getaffinity(0)),
         },
@@ -74,11 +76,12 @@ def write_bench_json(
     return target
 
 
-def _git_commit() -> str | None:
-    """``git rev-parse HEAD`` of the repo, or ``None`` when unavailable."""
+def _git(args: list[str]) -> str | None:
+    """The stripped stdout of ``git <args>`` in the repo, or ``None`` when
+    git is unavailable or the repo is not a checkout."""
     try:
         done = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", *args],
             cwd=BENCH_ROOT,
             capture_output=True,
             text=True,
@@ -88,7 +91,17 @@ def _git_commit() -> str | None:
         return None
     if done.returncode != 0:
         return None
-    return done.stdout.strip() or None
+    return done.stdout.strip()
+
+
+def _git_dirty() -> bool | None:
+    """Whether ``src/`` or ``benchmarks/`` has uncommitted changes.
+
+    The measured code lives there; the ``BENCH_*.json`` and ``trace.json``
+    files a run rewrites at the repo root do not mark the tree dirty.
+    """
+    status = _git(["status", "--porcelain", "--", "src", "benchmarks"])
+    return None if status is None else bool(status)
 
 
 def bench_config(

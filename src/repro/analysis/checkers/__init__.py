@@ -6,7 +6,6 @@ Each module registers one rule via :func:`repro.analysis.core.register`:
 rule                        guards
 ========================== ==================================================
 ``unordered-iteration``     set/dict-view iteration order leaking into results
-``unlocked-shared-mutation`` lock discipline of shared caches and globals
 ``unpicklable-worker-state`` process-backend worker-spec pickle safety
 ``nondeterministic-key``    id()/hash()/env/time values inside keys
 ``shm-lifecycle``           shared-memory segments released by an owner
@@ -15,7 +14,6 @@ rule                        guards
 ========================== ==================================================
 """
 
-from . import lock_guard  # noqa: F401
 from . import nondet_key  # noqa: F401
 from . import pickle_safety  # noqa: F401
 from . import shm_lifecycle  # noqa: F401

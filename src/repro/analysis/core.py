@@ -173,7 +173,7 @@ def register(cls: type[Checker]) -> type[Checker]:
         raise ValueError(f"checker {cls.__name__} has no rule name")
     if cls.rule in REGISTRY:
         raise ValueError(f"duplicate checker rule {cls.rule!r}")
-    REGISTRY[cls.rule] = cls  # repro: allow-unlocked-shared-mutation -- import-time registration
+    REGISTRY[cls.rule] = cls
     return cls
 
 

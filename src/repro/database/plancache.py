@@ -16,14 +16,12 @@ catalogue allocated at a recycled ``id()`` can never observe stale ones.
 
 The caches count nothing themselves: each lookup is counted once, by the
 stats object of the run that made it (``PlanStats.plan_cache_hits`` /
-``plans_compiled``, ``MapperStats.memo_hits`` / ``memo_misses``).  One lock
-guards the LRU bookkeeping; the ``unlocked-shared-mutation`` rule of
-``repro.analysis`` statically requires every mutation to hold it.
+``plans_compiled``, ``MapperStats.memo_hits`` / ``memo_misses``).  Every
+``repro`` process is single-threaded, so the LRU bookkeeping takes no lock.
 """
 
 from __future__ import annotations
 
-import threading
 import weakref
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Hashable, Optional
@@ -57,38 +55,33 @@ class CatalogCache:
         self._by_catalog: "weakref.WeakKeyDictionary[Catalog, OrderedDict]" = (
             weakref.WeakKeyDictionary()
         )
-        self._lock = threading.Lock()
 
     def lookup(self, catalog: "Catalog", key: Hashable) -> tuple[bool, object]:
         """``(hit, value)`` — a cached value may legitimately be ``None``."""
-        with self._lock:
-            entries = self._by_catalog.get(catalog)
-            value = _MISSING if entries is None else entries.get(key, _MISSING)
-            if value is _MISSING:
-                return False, None
-            entries.move_to_end(key)
-            return True, value
+        entries = self._by_catalog.get(catalog)
+        value = _MISSING if entries is None else entries.get(key, _MISSING)
+        if value is _MISSING:
+            return False, None
+        entries.move_to_end(key)
+        return True, value
 
     def put(self, catalog: "Catalog", key: Hashable, value: object) -> None:
-        with self._lock:
-            entries = self._by_catalog.get(catalog)
-            if entries is None:
-                entries = self._by_catalog[catalog] = OrderedDict()
-            entries[key] = value
-            entries.move_to_end(key)
-            while len(entries) > self.max_size:
-                entries.popitem(last=False)
+        entries = self._by_catalog.get(catalog)
+        if entries is None:
+            entries = self._by_catalog[catalog] = OrderedDict()
+        entries[key] = value
+        entries.move_to_end(key)
+        while len(entries) > self.max_size:
+            entries.popitem(last=False)
 
     def clear(self, catalog: "Catalog") -> None:
         """Drop the entries of one catalogue."""
-        with self._lock:
-            self._by_catalog.pop(catalog, None)
+        self._by_catalog.pop(catalog, None)
 
     def size(self, catalog: Optional["Catalog"] = None) -> int:
-        with self._lock:
-            if catalog is not None:
-                return len(self._by_catalog.get(catalog) or ())
-            return sum(len(e) for e in self._by_catalog.values())
+        if catalog is not None:
+            return len(self._by_catalog.get(catalog) or ())
+        return sum(len(e) for e in self._by_catalog.values())
 
     def _persistable(self, key: Hashable) -> bool:
         kinds = self.persistable_kinds
@@ -103,11 +96,10 @@ class CatalogCache:
         :meth:`import_entries`-ed into — any catalogue with the same content
         fingerprint (see :mod:`repro.service.fingerprint`).
         """
-        with self._lock:
-            entries = self._by_catalog.get(catalog)
-            if not entries:
-                return []
-            return [(key, value) for key, value in entries.items() if self._persistable(key)]
+        entries = self._by_catalog.get(catalog)
+        if not entries:
+            return []
+        return [(key, value) for key, value in entries.items() if self._persistable(key)]
 
     def import_entries(self, catalog: "Catalog", entries: list[tuple]) -> int:
         """Plant exported entries for a same-fingerprint catalogue.
@@ -118,16 +110,15 @@ class CatalogCache:
         """
         added = 0
         with span(f"persist.import_{self.name}", entries=len(entries)):
-            with self._lock:
-                live = self._by_catalog.get(catalog)
-                if live is None:
-                    live = self._by_catalog[catalog] = OrderedDict()
-                for key, value in entries:
-                    if self._persistable(key) and key not in live:
-                        live[key] = value
-                        added += 1
-                while len(live) > self.max_size:
-                    live.popitem(last=False)
+            live = self._by_catalog.get(catalog)
+            if live is None:
+                live = self._by_catalog[catalog] = OrderedDict()
+            for key, value in entries:
+                if self._persistable(key) and key not in live:
+                    live[key] = value
+                    added += 1
+            while len(live) > self.max_size:
+                live.popitem(last=False)
         return added
 
 

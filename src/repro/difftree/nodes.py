@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import threading
 from typing import Iterator, Optional, Sequence
 
 from ..sqlparser.ast_nodes import L, Node, empty
@@ -28,20 +27,14 @@ from .types import PiType
 #: Global counter producing unique choice-node identifiers.
 _NODE_COUNTER = itertools.count(1)
 
-
-class _IdSpace(threading.local):
-    """Thread-local override of the id counter (see :func:`node_id_space`)."""
-
-    counter: Optional[Iterator[int]] = None
-
-
-_ID_SPACE = _IdSpace()
+#: The counter :func:`node_id_space` pins in place of ``_NODE_COUNTER``.
+_id_override: Optional[Iterator[int]] = None
 
 #: Stride between per-worker id spaces.  Worker ``w`` of a parallel search
 #: allocates ids from ``(w + 1) * NODE_ID_SPAN`` so that the ids it mints are
-#: identical no matter which backend (serial round-robin, threads, or worker
-#: processes) runs it, and never collide with another worker's or with the
-#: main space (ids below ``NODE_ID_SPAN``).
+#: identical no matter which backend (serial round-robin or worker processes)
+#: runs it, and never collide with another worker's or with the main space
+#: (ids below ``NODE_ID_SPAN``).
 NODE_ID_SPAN = 1 << 40
 
 
@@ -54,24 +47,24 @@ def worker_id_counter(worker_index: int) -> Iterator[int]:
 def node_id_space(counter: Optional[Iterator[int]]):
     """Allocate choice-node ids from ``counter`` inside the ``with`` block.
 
-    Thread-local, so concurrent search workers can each pin their own id
-    space.  ``None`` leaves the ambient allocator (usually the global
-    counter) in place.
+    Each search worker pins its own id space around its steps.  ``None``
+    leaves the ambient allocator (usually the global counter) in place.
     """
+    global _id_override
     if counter is None:
         yield
         return
-    previous = _ID_SPACE.counter
-    _ID_SPACE.counter = counter
+    previous = _id_override
+    _id_override = counter
     try:
         yield
     finally:
-        _ID_SPACE.counter = previous
+        _id_override = previous
 
 
 def next_node_id() -> int:
     """Allocate a fresh choice-node identifier."""
-    counter = _ID_SPACE.counter
+    counter = _id_override
     if counter is not None:
         return next(counter)
     return next(_NODE_COUNTER)

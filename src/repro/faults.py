@@ -48,7 +48,6 @@ reaches workers that were already alive.
 from __future__ import annotations
 
 import os
-import threading
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -147,7 +146,6 @@ class FaultPlan:
         self.spec = spec
         self.specs: list[FaultSpec] = []
         self._counts: dict[tuple[str, Optional[int]], int] = {}
-        self._lock = threading.Lock()
         for clause in spec.split(";"):
             clause = clause.strip()
             if clause:
@@ -160,10 +158,9 @@ class FaultPlan:
                 continue
             if spec.worker is not None and spec.worker != worker:
                 continue
-            with self._lock:
-                key = (site, worker)
-                self._counts[key] = self._counts.get(key, 0) + 1
-                hits = self._counts[key]
+            key = (site, worker)
+            self._counts[key] = self._counts.get(key, 0) + 1
+            hits = self._counts[key]
             if not (spec.hit <= hits < spec.hit + spec.count):
                 continue
             if spec.once is not None and not _claim_token(spec.once):

@@ -124,10 +124,10 @@ VIS_TYPES: list[VisualizationType] = [TABLE_VIS, POINT_VIS, BAR_VIS, LINE_VIS]
 def register_visualization(vis_type: VisualizationType) -> None:
     """Add a new visualization type to the library (extensibility hook).
 
-    Call at import/setup time, before any search runs: the registry is
-    read concurrently by search workers but only ever extended up front.
+    Call at import/setup time, before any search runs: worker processes
+    see only the types registered before they start.
     """
-    VIS_TYPES.append(vis_type)  # repro: allow-unlocked-shared-mutation -- setup-time hook
+    VIS_TYPES.append(vis_type)
 
 
 # ---------------------------------------------------------------------------

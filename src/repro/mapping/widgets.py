@@ -159,10 +159,10 @@ WIDGET_TYPES: list[WidgetType] = [
 def register_widget(widget: WidgetType) -> None:
     """Add a widget template to the library (extensibility hook).
 
-    Call at import/setup time, before any search runs: the registry is
-    read concurrently by search workers but only ever extended up front.
+    Call at import/setup time, before any search runs: worker processes
+    see only the widgets registered before they start.
     """
-    WIDGET_TYPES.append(widget)  # repro: allow-unlocked-shared-mutation -- setup-time hook
+    WIDGET_TYPES.append(widget)
 
 
 # ---------------------------------------------------------------------------

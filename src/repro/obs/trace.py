@@ -18,7 +18,7 @@ Design constraints, in priority order:
    allocated.  The perf-smoke job gates this at <2% of pipeline wall-clock
    (``benchmarks/test_bench_obs.py``).
 2. **Observability never perturbs determinism.**  Spans read monotonic
-   clocks and thread-local stacks only; they never touch RNG streams,
+   clocks and the tracer's span stack only; they never touch RNG streams,
    fingerprints or cache keys.  The ``no-wallclock-in-key`` rule of
    :mod:`repro.analysis` statically enforces the second half of that
    contract, and ``tests/test_obs.py`` pins byte-identical interfaces with
@@ -61,7 +61,7 @@ class SpanEvent:
     duration: float
     pid: int
     tid: int
-    #: nesting depth within this thread's span stack at entry (0 = root)
+    #: nesting depth within the tracer's span stack at entry (0 = root)
     depth: int = 0
     attrs: dict = field(default_factory=dict)
 
@@ -111,7 +111,7 @@ class _Span:
         self._depth = 0
 
     def __enter__(self) -> "_Span":
-        stack = self._tracer._stack()
+        stack = self._tracer._stack
         self._depth = len(stack)
         stack.append(self.name)
         self._start = time.perf_counter()
@@ -119,7 +119,7 @@ class _Span:
 
     def __exit__(self, *exc_info) -> bool:
         duration = time.perf_counter() - self._start
-        stack = self._tracer._stack()
+        stack = self._tracer._stack
         if stack and stack[-1] == self.name:
             stack.pop()
         self._tracer._record(self.name, self._start, duration, self._depth, self.attrs)
@@ -127,20 +127,18 @@ class _Span:
 
 
 class Tracer:
-    """Thread-safe span recorder with a no-op fast path when disabled.
+    """Span recorder with a no-op fast path when disabled.
 
-    The event buffer and counters mutate only under ``self._lock`` (the
-    ``unlocked-shared-mutation`` rule enforces this statically); the
-    per-thread span stacks live in a ``threading.local`` and need no lock.
+    Every ``repro`` process is single-threaded, so one span stack holds the
+    names of the open spans and the buffer takes no lock.
     """
 
     def __init__(self, max_events: int = 250_000) -> None:
-        self._lock = threading.Lock()
         self._events: list[SpanEvent] = []
         self.dropped = 0
         self.max_events = max_events
         self.enabled = bool(os.environ.get(TRACE_ENV_VAR))
-        self._local = threading.local()
+        self._stack: list[str] = []
         #: epoch aligning monotonic deltas across processes (module docstring)
         self._epoch = time.time() - time.perf_counter()
 
@@ -151,13 +149,6 @@ class Tracer:
         if not self.enabled:
             return _NOOP_SPAN
         return _Span(self, name, attrs)
-
-    def _stack(self) -> list:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
 
     def _record(
         self, name: str, start: float, duration: float, depth: int, attrs: dict
@@ -171,58 +162,43 @@ class Tracer:
             depth=depth,
             attrs=attrs,
         )
-        with self._lock:
-            if len(self._events) < self.max_events:
-                self._events.append(event)
-            else:
-                self.dropped += 1
+        if len(self._events) < self.max_events:
+            self._events.append(event)
+        else:
+            self.dropped += 1
 
     # -- lifecycle ----------------------------------------------------------
 
     def enable(self) -> None:
-        with self._lock:
-            self.enabled = True
+        self.enabled = True
 
     def disable(self) -> None:
-        with self._lock:
-            self.enabled = False
+        self.enabled = False
 
     def clear(self) -> None:
-        with self._lock:
-            self._events = []
-            self.dropped = 0
+        self._events = []
+        self.dropped = 0
 
     # -- event access -------------------------------------------------------
 
     def events(self) -> list[SpanEvent]:
         """A snapshot copy of the recorded events (record order)."""
-        with self._lock:
-            return list(self._events)
+        return list(self._events)
 
     def take_events(self) -> list[SpanEvent]:
         """Drain and return the recorded events (process workers ship these)."""
-        with self._lock:
-            events = self._events
-            self._events = []
-            return events
+        events = self._events
+        self._events = []
+        return events
 
     def extend(self, events) -> None:
         """Adopt events recorded elsewhere (worker processes), respecting the cap."""
-        with self._lock:
-            room = self.max_events - len(self._events)
-            if room >= len(events):
-                self._events.extend(events)
-            else:
-                self._events.extend(events[:room])
-                self.dropped += len(events) - max(0, room)
-
-    def info(self) -> dict:
-        with self._lock:
-            return {
-                "enabled": self.enabled,
-                "events": len(self._events),
-                "dropped": self.dropped,
-            }
+        room = self.max_events - len(self._events)
+        if room >= len(events):
+            self._events.extend(events)
+        else:
+            self._events.extend(events[:room])
+            self.dropped += len(events) - max(0, room)
 
 
 #: The process-wide tracer every instrumentation site records into.

@@ -24,7 +24,6 @@ interfaces from the same configuration.
 from __future__ import annotations
 
 import pickle
-import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Protocol, Sequence
 
@@ -56,27 +55,21 @@ class ParallelSearchResult:
 
 
 class RewardTable:
-    """Cross-worker fingerprint → reward table (thread-safe).
+    """Cross-worker fingerprint → reward table.
 
     Workers consult the table before evaluating any state; new rewards are
     buffered per worker and merged here only at synchronization barriers, so
     lookups during a round always observe the previous round's snapshot.
-
-    Lock discipline is enforced statically: the ``unlocked-shared-mutation``
-    rule of ``repro.analysis`` requires every mutation of this class's
-    bookkeeping to sit inside a ``with self._lock:`` block.
     """
 
     def __init__(self) -> None:
         self._rewards: dict[str, float] = {}
-        self._lock = threading.Lock()
 
     def get(self, key: str) -> tuple[bool, float]:
         """``(hit, reward)`` — rewards may legitimately be ``-inf``."""
-        with self._lock:
-            if key in self._rewards:
-                return True, self._rewards[key]
-            return False, 0.0
+        if key in self._rewards:
+            return True, self._rewards[key]
+        return False, 0.0
 
     def merge(self, delta: dict[str, float]) -> dict[str, float]:
         """Merge a worker's reward delta; returns the entries actually added.
@@ -85,29 +78,25 @@ class RewardTable:
         round keeps the reward of the earlier worker (worker order is the
         merge order, so the outcome is deterministic).
         """
-        with self._lock:
-            accepted = {
-                key: reward
-                for key, reward in delta.items()
-                if key not in self._rewards
-            }
-            self._rewards.update(accepted)
-            return accepted
+        accepted = {
+            key: reward
+            for key, reward in delta.items()
+            if key not in self._rewards
+        }
+        self._rewards.update(accepted)
+        return accepted
 
     def seed(self, delta: dict[str, float]) -> None:
         """Plant already-merged entries (process-backend replicas) silently."""
-        with self._lock:
-            for key, reward in delta.items():
-                self._rewards.setdefault(key, reward)
+        for key, reward in delta.items():
+            self._rewards.setdefault(key, reward)
 
     def size(self) -> int:
-        with self._lock:
-            return len(self._rewards)
+        return len(self._rewards)
 
     def snapshot(self) -> dict[str, float]:
         """A copy of the fingerprint → reward entries (for persistence)."""
-        with self._lock:
-            return dict(self._rewards)
+        return dict(self._rewards)
 
 
 @dataclass

@@ -113,8 +113,8 @@ class MCTSWorker:
         #: the coordinator drains these into the shared table at each sync
         self._pending_rewards: dict[str, float] = {}
         #: private id counter for choice nodes minted by rule applications,
-        #: so a worker allocates identical ids whether it runs round-robin,
-        #: on a thread, or in its own process (``None`` = ambient allocator)
+        #: so a worker allocates identical ids whether it runs round-robin
+        #: or in its own process (``None`` = ambient allocator)
         self._id_space = id_space
         self.root = MCTSNode(initial)
         self.stats = SearchStats()

@@ -30,7 +30,6 @@ All fingerprints are hex SHA-256 strings, independent of
 from __future__ import annotations
 
 import hashlib
-import threading
 import weakref
 from dataclasses import fields, is_dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -53,7 +52,6 @@ __all__ = [
 _FINGERPRINT_CACHE: "weakref.WeakKeyDictionary[Catalog, str]" = (
     weakref.WeakKeyDictionary()
 )
-_CACHE_LOCK = threading.Lock()
 
 
 def _hash_value(value: object, update) -> None:
@@ -89,8 +87,7 @@ def _hash_value(value: object, update) -> None:
 
 def catalog_fingerprint(catalog: "Catalog") -> str:
     """SHA-256 over the catalogue's full schema and data (cached per object)."""
-    with _CACHE_LOCK:
-        cached = _FINGERPRINT_CACHE.get(catalog)
+    cached = _FINGERPRINT_CACHE.get(catalog)
     if cached is not None:
         return cached
     digest = hashlib.sha256()
@@ -112,8 +109,7 @@ def catalog_fingerprint(catalog: "Catalog") -> str:
             for value in table.column_data(index):
                 _hash_value(value, update)
     fingerprint = digest.hexdigest()
-    with _CACHE_LOCK:
-        _FINGERPRINT_CACHE[catalog] = fingerprint
+    _FINGERPRINT_CACHE[catalog] = fingerprint
     return fingerprint
 
 

@@ -410,8 +410,9 @@ class WorkerPool:
     ) -> tuple[list, int, int, bool]:
         """Run one search over the live workers, surviving worker failures.
 
-        ``task`` is pickled and broadcast; ``coordinator_table`` stays local
-        (it holds a lock) and is driven through the round protocol.  Returns
+        ``task`` is pickled and broadcast; ``coordinator_table`` stays in
+        this process (workers get its snapshot as the task's
+        ``table_seed``) and is driven through the round protocol.  Returns
         :func:`~repro.search.backends.process.drive_search`'s ``(finals,
         total_iterations, sync_rounds, early_stopped)``; the workers return
         to idle afterwards.

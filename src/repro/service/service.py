@@ -113,6 +113,10 @@ class GenerationService:
     Use as a context manager (or call :meth:`close`) so the pool's processes
     and the catalogue's shared-memory segment are released deterministically.
 
+    A service serves one request at a time, and it is not safe to share
+    between threads: every ``repro`` process is single-threaded, so its
+    pool, request list and reward tables take no lock.
+
     Args:
         catalog: the catalogue all requests run against; defaults to the
             synthetic standard catalogue for the config's seed / scale.

@@ -134,95 +134,6 @@ def test_unordered_iteration_pragma_suppresses():
     assert len(suppressed) == 1
 
 
-# -- unlocked-shared-mutation --------------------------------------------------
-
-_LOCKED_CLASS = """
-import threading
-from collections import OrderedDict
-
-
-class Cache:
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._entries = OrderedDict()
-        self.hits = 0
-
-    def get(self, key):
-        {body}
-"""
-
-
-def test_lock_guard_fires_on_unlocked_mutation():
-    fired, _ = findings_for(
-        _LOCKED_CLASS.format(
-            body="self.hits += 1\n        return self._entries.get(key)"
-        ),
-        "unlocked-shared-mutation",
-    )
-    assert len(fired) == 1
-    assert "self.hits" in fired[0].message
-
-
-def test_lock_guard_quiet_under_lock_and_in_init():
-    fired, _ = findings_for(
-        _LOCKED_CLASS.format(
-            body=(
-                "with self._lock:\n"
-                "            self.hits += 1\n"
-                "            self._entries[key] = 1\n"
-                "            return self._entries.get(key)"
-            )
-        ),
-        "unlocked-shared-mutation",
-    )
-    assert fired == []
-
-
-def test_lock_guard_quiet_in_getstate():
-    fired, _ = findings_for(
-        """
-        import threading
-
-        class Spec:
-            def __init__(self):
-                self._lock = threading.Lock()
-                self.entries = {}
-
-            def __getstate__(self):
-                self.entries = {}
-                return self.__dict__
-        """,
-        "unlocked-shared-mutation",
-    )
-    assert fired == []
-
-
-def test_lock_guard_fires_on_module_global_and_respects_pragma():
-    fired, _ = findings_for(
-        """
-        SHARED_REGISTRY = {}
-
-        def put(name, value):
-            SHARED_REGISTRY[name] = value
-        """,
-        "unlocked-shared-mutation",
-    )
-    assert len(fired) == 1 and "SHARED_REGISTRY" in fired[0].message
-
-    fired, suppressed = findings_for(
-        """
-        SHARED_REGISTRY = {}
-
-        def put(name, value):
-            # repro: allow-unlocked-shared-mutation -- import-time only
-            SHARED_REGISTRY[name] = value
-        """,
-        "unlocked-shared-mutation",
-    )
-    assert fired == []
-    assert len(suppressed) == 1
-
-
 # -- unpicklable-worker-state --------------------------------------------------
 
 
@@ -791,19 +702,20 @@ def test_cli_bad_rule_and_missing_paths_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_list_rules_names_all_seven(capsys):
+def test_cli_list_rules_names_all_six(capsys):
     assert main(["--list-rules"]) == EXIT_CLEAN
     out = capsys.readouterr().out
-    for rule in (
-        "unordered-iteration",
-        "unlocked-shared-mutation",
-        "unpicklable-worker-state",
-        "nondeterministic-key",
-        "shm-lifecycle",
-        "no-wallclock-in-key",
-        "unbounded-recv",
-    ):
-        assert rule in out
+    listed = [line.split(":", 1)[0] for line in out.splitlines() if line[:1].strip()]
+    assert sorted(listed) == sorted(
+        (
+            "unordered-iteration",
+            "unpicklable-worker-state",
+            "nondeterministic-key",
+            "shm-lifecycle",
+            "no-wallclock-in-key",
+            "unbounded-recv",
+        )
+    )
 
 
 # -- the self-run gate ---------------------------------------------------------

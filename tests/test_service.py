@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import pickle
+import threading
 
 import pytest
 
@@ -31,6 +32,7 @@ from repro.database.table import Table
 from repro.database.types import Column, DataType
 from repro.difftree.builder import parse_queries
 from repro.mapping.memo import SHARED_MAPPING_MEMO
+from repro.obs import TRACER
 from repro.search.backends import BACKEND_ENV_VAR
 from repro.service import (
     CACHE_VERSION,
@@ -176,6 +178,51 @@ def test_warm_requests_report_only_their_own_pool_work():
         assert metrics["pool.tasks"] == workers
         assert metrics["pool.setup_cache_hits"] == workers
         assert metrics.get("pool.setup_cache_misses", 0) == 0
+
+
+def test_no_code_path_starts_a_thread(monkeypatch):
+    """Every ``repro`` process is single-threaded, which is why no cache,
+    reward table or tracer takes a lock.  Starting a thread raises here: in
+    this process the run fails, and a fork worker (which inherits the patch)
+    fails its task, so a thread started there shows up as a retry or a
+    degraded request."""
+    started = []
+
+    def refuse(thread):
+        started.append(thread.name)
+        raise RuntimeError(f"thread {thread.name!r} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+
+    def config(backend: str) -> PipelineConfig:
+        config = PipelineConfig.fast(seed=7)
+        config.search.backend = backend
+        return config
+
+    TRACER.enable()
+    try:
+        serial = generate_for_workload(
+            WORKLOADS["filter"], catalog=_fresh_catalog(), config=config("serial")
+        )
+        one_shot = generate_for_workload(
+            WORKLOADS["filter"], catalog=_fresh_catalog(), config=config("process")
+        )
+        with GenerationService(_fresh_catalog(), config=config("process")) as service:
+            pooled = [service.generate_workload("filter") for _ in range(2)]
+    finally:
+        TRACER.disable()
+        TRACER.clear()
+
+    assert started == []
+    assert threading.active_count() == 1
+    assert serial.search_stats.backend == "serial"
+    assert one_shot.search_stats.backend == "process"
+    assert one_shot.metrics.get("pool.task_retries", 0) == 0
+    for result in (serial, one_shot, *pooled):
+        assert result.search_stats.degraded is None
+    assert [(r.backend, r.degraded, r.retries) for r in service.requests] == [
+        ("process", None, 0)
+    ] * 2
 
 
 def test_service_rejects_requests_after_close():
