@@ -194,7 +194,7 @@ def test_no_code_path_starts_a_thread(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
 
-    def config(backend: str) -> PipelineConfig:
+    def fast_config(backend: str) -> PipelineConfig:
         config = PipelineConfig.fast(seed=7)
         config.search.backend = backend
         return config
@@ -202,12 +202,12 @@ def test_no_code_path_starts_a_thread(monkeypatch):
     TRACER.enable()
     try:
         serial = generate_for_workload(
-            WORKLOADS["filter"], catalog=_fresh_catalog(), config=config("serial")
+            WORKLOADS["filter"], catalog=_fresh_catalog(), config=fast_config("serial")
         )
         one_shot = generate_for_workload(
-            WORKLOADS["filter"], catalog=_fresh_catalog(), config=config("process")
+            WORKLOADS["filter"], catalog=_fresh_catalog(), config=fast_config("process")
         )
-        with GenerationService(_fresh_catalog(), config=config("process")) as service:
+        with GenerationService(_fresh_catalog(), config=fast_config("process")) as service:
             pooled = [service.generate_workload("filter") for _ in range(2)]
     finally:
         TRACER.disable()
