@@ -81,8 +81,8 @@ class Table:
         """Build a table directly from per-column value lists.
 
         The lists are adopted, not copied — this is the shared-memory
-        catalogue attach path (:mod:`repro.service.shm`), which decodes each
-        column once from its segment and must not pay a second copy.
+        catalogue attach path (:mod:`repro.service.shm`), which unpickles
+        each column once from its segment and must not pay a second copy.
         """
         table = cls(name, columns)
         if len(col_data) != len(table.columns):

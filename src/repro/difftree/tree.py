@@ -18,7 +18,7 @@ from ..sqlparser.ast_nodes import Node
 from ..sqlparser.render import to_pseudo_sql
 from .match import match_query
 from .nodes import ChoiceNode, choice_nodes, dynamic_nodes
-from .resolve import Derivation, FlatBindingSource, resolve, resolve_with_derivation
+from .resolve import Derivation, resolve_with_derivation
 from .schema import (
     ResultSchema,
     SchemaExpr,
@@ -135,11 +135,6 @@ class Difftree:
         if derivation is None:
             raise ValueError(f"query {index} is not expressible by this Difftree")
         return resolve_with_derivation(self.root, derivation)
-
-    def resolve_default(self, overrides: Optional[dict[int, object]] = None) -> Node:
-        """Resolve with default / overridden parameters (the runtime's path)."""
-        source = FlatBindingSource(overrides)
-        return resolve(self.root, source)
 
     # -- query bindings (paper Section 3.2.4) ------------------------------------------
 

@@ -28,10 +28,6 @@ from ..sqlparser.render import to_sql
 from .spec import AppliedInteraction, AppliedWidget, Interface
 
 
-class RuntimeError_(Exception):
-    """Raised when an event cannot be applied to the interface."""
-
-
 @dataclass
 class ViewState:
     """Current state of one view: resolved SQL and its latest result."""

@@ -121,9 +121,6 @@ class Interface:
                 return mapping
         return None
 
-    def view_for_widget(self, widget: AppliedWidget) -> View:
-        return self.views[widget.view_index]
-
     def num_views(self) -> int:
         return len(self.views)
 

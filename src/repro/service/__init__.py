@@ -6,8 +6,8 @@ amortizes setup across repeated generation requests:
 * :mod:`repro.service.pool` — the :class:`~repro.service.pool.WorkerPool`,
   the one lifecycle of process-backend workers; the service keeps one alive
   across searches (spawn + warm-up paid once per pool, not per request);
-* :mod:`repro.service.shm` — shared-memory catalogue segments workers attach
-  instead of rebuilding from a pickled spec;
+* :mod:`repro.service.shm` — one shared-memory segment per catalogue,
+  holding its tables pickled once, which every pool worker unpickles;
 * :mod:`repro.service.persist` — cross-run save/load of the reward table,
   plan cache and mapping memo, keyed by content fingerprints and validated
   on load so stale entries can never alias.

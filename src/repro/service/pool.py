@@ -7,9 +7,10 @@ alive across requests; a one-shot ``--backend process`` search opens a pool,
 runs its single task and closes it.  Both get the same supervision.
 
 * **spawn once per pool** — workers are created when the pool is built,
-  carrying only a tiny :class:`ServiceWorkerSpec` (a shared-memory catalogue
-  manifest, or the pickled catalogue when shared-memory registration
-  fails), and stay alive between tasks;
+  carrying only a tiny :class:`ServiceWorkerSpec` (the manifest of the
+  shared-memory segment that holds the pickled catalogue tables, or the
+  pickled catalogue itself when shared-memory registration fails), and stay
+  alive between tasks;
 * **task messages instead of teardown** — each search is a ``task``
   handoff; the worker runs :func:`repro.search.backends.process.serve_search`
   while the coordinator runs :func:`~repro.search.backends.process.drive_search`,
@@ -108,11 +109,13 @@ def _mp_context():
 class ServiceWorkerSpec:
     """Picklable recipe for a pool worker's *persistent* context.
 
-    It carries only what outlives tasks: the catalogue, preferably as a
-    shared-memory manifest so each worker attaches the one segment the pool
-    owns instead of unpickling a private copy.  Per-request context
-    (queries, configs, initial state, reward-table seed) arrives later in
-    ``task`` messages.
+    It carries only what outlives tasks: the catalogue.  Every worker
+    unpickles a private copy of it either way; the manifest points the
+    worker at the pool's one shared-memory segment, which holds the
+    catalogue's tables pickled once per pool, and the pickled catalogue
+    rides in the spec itself only when shared-memory registration failed.
+    Per-request context (queries, configs, initial state, reward-table seed)
+    arrives later in ``task`` messages.
     """
 
     #: shared-memory manifest of the catalogue (preferred transport)

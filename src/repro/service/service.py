@@ -12,7 +12,7 @@ What a repeat request skips, layer by layer:
 
 =====================  ====================================================
 process spawn           paid once at pool build (``pool.spawn_seconds``)
-catalogue rebuild       workers attached the shared-memory segment once
+catalogue rebuild       workers unpickled the shared-memory segment once
 plan cache / memo       per-process caches persist across tasks
 reward evaluation       the per-key reward table answers previously
                         explored states (and persists across *runs* via the

@@ -1,40 +1,28 @@
 """Shared-memory catalogue registry.
 
-Pickling the whole catalogue into every worker's spawn payload would make
-each worker pay unpickle cost and hold a private copy.  A worker pool does
-better: the registry encodes every column of every table into **one**
+Every pool worker needs the catalogue: PI2 scores a search state by running
+its queries against it.  The registry pickles the catalogue's tables — each
+table's name, declared columns and column value lists — **once** into one
 ``multiprocessing.shared_memory`` segment per catalogue, described by a
-picklable :class:`CatalogManifest` (per-column dtype kind, offsets,
-lengths, null indexes).  Workers receive only the tiny
-manifest, attach the segment, and decode columns straight out of shared
-memory — the segment is mapped, never copied or re-pickled, and one segment
-serves every worker of the pool.
+tiny picklable :class:`CatalogManifest`.  Workers receive only the
+manifest, attach the segment, unpickle the tables and rebuild them with
+:meth:`~repro.database.table.Table.from_columns`; one segment serves every
+worker of the pool.
 
-Column encodings (``kind`` in the manifest) — chosen so the decoded values
-are *byte-identical* to the originals, including Python types:
-
-========  ==================================================================
-``i8``    every non-null value is an ``int`` (``bool`` excluded) within
-          int64 range → little-endian int64 vector
-``f8``    every non-null value is a ``float`` → float64 vector (NaN and
-          infinities round-trip; float64 is the substrate's only precision)
-``b1``    every non-null value is a ``bool`` → byte vector
-``str``   every non-null value is a ``str`` → UTF-8 blob + int64 offsets
-``pkl``   anything else (dates, mixed-type columns) → pickled value list
-========  ==================================================================
-
-Nulls ride separately as an int64 vector of row indexes, so the numeric
-encodings stay dense.  Anything the strict kinds cannot represent exactly
-falls back to ``pkl`` rather than coercing — a column that decodes to
-``1.0`` where the original held ``1`` would change type inference and break
-the cold/warm determinism guarantee.
+The payload holds tables, not the :class:`~repro.database.catalog.Catalog`
+object, whose pickle would carry the owner's lazily built caches (column
+statistics, each table's materialised rows): an attached catalogue starts
+with none of them, like a freshly built one, and the segment holds only the
+column data.  Pickle restores every value with its Python type (``1`` stays
+an ``int``, NaN a float NaN), which type inference and the cold/warm
+determinism guarantee rely on.
 
 Segment lifecycle: the registry that *created* a segment owns it — creation
 happens inside a ``try`` that unlinks on failure, :meth:`close` /
 ``__exit__`` unlink deterministically, and a ``weakref.finalize`` backstop
 reclaims the segment even if the owner is dropped without ``close`` (crash
 safety).  Attachers never unlink; they close their mapping as soon as the
-columns are decoded.  The ``shm-lifecycle`` rule of :mod:`repro.analysis`
+payload is unpickled.  The ``shm-lifecycle`` rule of :mod:`repro.analysis`
 statically enforces this create/cleanup pairing.
 
 Against the backstops failing too (``SIGKILL``, ``os._exit``, power loss),
@@ -50,25 +38,15 @@ import itertools
 import os
 import pickle
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import TYPE_CHECKING, Optional
 
 from ..database.catalog import Catalog
 from ..database.table import Table
 from ..obs import span
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    pass
-
-try:  # numpy-backed vector decode; the container bakes numpy in
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is a baked-in dependency
-    _np = None
-
 __all__ = [
     "CatalogManifest",
-    "ColumnManifest",
     "SharedCatalogRegistry",
     "sweep_orphaned_segments",
 ]
@@ -148,38 +126,12 @@ def sweep_orphaned_segments() -> int:
 
 
 @dataclass
-class ColumnManifest:
-    """Where and how one column lives inside the catalogue segment."""
-
-    kind: str  # "i8" | "f8" | "b1" | "str" | "pkl"
-    length: int  # row count
-    offset: int  # byte offset of the primary buffer
-    nbytes: int  # byte length of the primary buffer
-    #: ``str`` columns: byte offset / length of the int64 offsets vector
-    aux_offset: int = 0
-    aux_nbytes: int = 0
-    #: byte offset / length of the int64 null-row-index vector
-    null_offset: int = 0
-    null_nbytes: int = 0
-
-
-@dataclass
-class TableManifest:
-    name: str
-    #: the declared schema travels by value (Column objects are tiny)
-    columns: list = field(default_factory=list)
-    column_manifests: list = field(default_factory=list)
-
-
-@dataclass
 class CatalogManifest:
     """A picklable description of one shared-memory catalogue segment."""
 
     segment: str  # shared-memory segment name
-    total_bytes: int
-    tables: list = field(default_factory=list)
-    #: content fingerprint of the encoded catalogue — attachers key their
-    #: caches by this, and it pins what the segment must decode back to
+    total_bytes: int  # length of the pickled payload at the segment's start
+    #: content fingerprint of the registered catalogue (the registry's key)
     fingerprint: str = ""
 
 
@@ -202,92 +154,6 @@ def _attach_readonly(name: str) -> shared_memory.SharedMemory:
 
 
 # ---------------------------------------------------------------------------
-# column encode / decode
-# ---------------------------------------------------------------------------
-
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
-
-
-def _classify(values: list) -> str:
-    """The strictest encoding kind that reproduces ``values`` exactly."""
-    kind: Optional[str] = None
-    for value in values:
-        if value is None:
-            continue
-        if isinstance(value, bool):
-            cls = "b1"
-        elif isinstance(value, int):
-            if not (_INT64_MIN <= value <= _INT64_MAX):
-                return "pkl"
-            cls = "i8"
-        elif isinstance(value, float):
-            cls = "f8"
-        elif isinstance(value, str):
-            cls = "str"
-        else:
-            return "pkl"
-        if kind is None:
-            kind = cls
-        elif kind != cls:
-            return "pkl"
-    return kind or "i8"  # all-null column: dense zeros + full null vector
-
-
-def _encode_column(values: list) -> tuple[str, bytes, bytes, bytes]:
-    """``(kind, primary buffer, aux buffer, null-index buffer)``."""
-    kind = _classify(values)
-    nulls = [i for i, v in enumerate(values) if v is None]
-    null_buf = _np.asarray(nulls, dtype="<i8").tobytes() if nulls else b""
-    if kind == "pkl":
-        return kind, pickle.dumps(values, protocol=pickle.HIGHEST_PROTOCOL), b"", b""
-    if kind == "str":
-        blobs = [v.encode("utf-8") if v is not None else b"" for v in values]
-        offsets = [0]
-        for blob in blobs:
-            offsets.append(offsets[-1] + len(blob))
-        return (
-            kind,
-            b"".join(blobs),
-            _np.asarray(offsets, dtype="<i8").tobytes(),
-            null_buf,
-        )
-    dtype = {"i8": "<i8", "f8": "<f8", "b1": "|b1"}[kind]
-    dense = [
-        (0 if kind != "f8" else 0.0) if v is None else v for v in values
-    ]
-    return kind, _np.asarray(dense, dtype=dtype).tobytes(), b"", null_buf
-
-
-def _decode_column(buf: memoryview, manifest: ColumnManifest) -> list:
-    """Decode one column out of the segment into a fresh value list."""
-    start, end = manifest.offset, manifest.offset + manifest.nbytes
-    primary = buf[start:end]
-    if manifest.kind == "pkl":
-        return pickle.loads(primary)
-    if manifest.kind == "str":
-        offsets = _np.frombuffer(
-            buf, dtype="<i8", count=manifest.length + 1, offset=manifest.aux_offset
-        )
-        blob = bytes(primary)
-        values: list = [
-            blob[offsets[i]:offsets[i + 1]].decode("utf-8")
-            for i in range(manifest.length)
-        ]
-    else:
-        dtype = {"i8": "<i8", "f8": "<f8", "b1": "|b1"}[manifest.kind]
-        values = _np.frombuffer(
-            buf, dtype=dtype, count=manifest.length, offset=manifest.offset
-        ).tolist()
-    if manifest.null_nbytes:
-        null_count = manifest.null_nbytes // 8
-        for index in _np.frombuffer(
-            buf, dtype="<i8", count=null_count, offset=manifest.null_offset
-        ).tolist():
-            values[index] = None
-    return values
-
-
-# ---------------------------------------------------------------------------
 # the registry
 # ---------------------------------------------------------------------------
 
@@ -303,8 +169,6 @@ class SharedCatalogRegistry:
     """
 
     def __init__(self) -> None:
-        if _np is None:  # pragma: no cover - numpy is a baked-in dependency
-            raise RuntimeError("shared-memory catalogues require numpy")
         #: fingerprint -> (SharedMemory, CatalogManifest)
         self._segments: dict[str, tuple[shared_memory.SharedMemory, CatalogManifest]] = {}
         #: orphans of dead owners reclaimed while building this registry
@@ -316,7 +180,7 @@ class SharedCatalogRegistry:
     # -- owner side ---------------------------------------------------------
 
     def register(self, catalog: Catalog) -> CatalogManifest:
-        """Encode ``catalog`` into a shared segment; idempotent per content."""
+        """Pickle ``catalog``'s tables into a shared segment; idempotent per content."""
         from .fingerprint import catalog_fingerprint
 
         fingerprint = catalog_fingerprint(catalog)
@@ -327,76 +191,40 @@ class SharedCatalogRegistry:
             return self._register_new(catalog, fingerprint)
 
     def _register_new(self, catalog: Catalog, fingerprint: str) -> CatalogManifest:
-        # encode every column first so the segment is sized exactly once
-        tables: list[TableManifest] = []
-        buffers: list[bytes] = []
-        cursor = 0
-
-        def _append(buf: bytes) -> tuple[int, int]:
-            nonlocal cursor
-            offset = cursor
-            buffers.append(buf)
-            cursor += len(buf)
-            return offset, len(buf)
-
-        for table in sorted(catalog.tables(), key=lambda t: t.name.lower()):
-            table_manifest = TableManifest(name=table.name, columns=list(table.columns))
-            for index in range(len(table.columns)):
-                values = table.column_data(index)
-                kind, primary, aux, null_buf = _encode_column(values)
-                offset, nbytes = _append(primary)
-                aux_offset, aux_nbytes = _append(aux) if aux else (0, 0)
-                null_offset, null_nbytes = _append(null_buf) if null_buf else (0, 0)
-                table_manifest.column_manifests.append(
-                    ColumnManifest(
-                        kind=kind,
-                        length=len(values),
-                        offset=offset,
-                        nbytes=nbytes,
-                        aux_offset=aux_offset,
-                        aux_nbytes=aux_nbytes,
-                        null_offset=null_offset,
-                        null_nbytes=null_nbytes,
-                    )
-                )
-            tables.append(table_manifest)
-
-        total = max(1, cursor)  # zero-byte segments are not allowed
+        # tables in name order, as the fingerprint reads them: registration
+        # is idempotent per fingerprint, so the payload must not depend on
+        # the order the tables were added in
+        tables = sorted(catalog.tables(), key=lambda t: t.name.lower())
+        payload = pickle.dumps(
+            [
+                (t.name, t.columns, [t.column_data(i) for i in range(len(t.columns))])
+                for t in tables
+            ],
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
         # named creation (pid in the name) so a later sweep can tell orphans
         # from live segments; retry on the (unlikely) collision with a
         # leftover of a previous same-pid process
         while True:
             try:
                 shm = shared_memory.SharedMemory(
-                    name=_segment_name(), create=True, size=total
+                    name=_segment_name(), create=True, size=len(payload)
                 )
                 break
             except FileExistsError:  # pragma: no cover - pid-reuse leftover
                 continue
         try:
-            position = 0
-            for buf in buffers:
-                shm.buf[position:position + len(buf)] = buf
-                position += len(buf)
-            manifest = CatalogManifest(
-                segment=shm.name,
-                total_bytes=cursor,
-                tables=tables,
-                fingerprint=fingerprint,
-            )
+            shm.buf[:len(payload)] = payload
         except Exception:
             # creation failed mid-populate: reclaim the segment immediately
             shm.close()
             shm.unlink()
             raise
+        manifest = CatalogManifest(
+            segment=shm.name, total_bytes=len(payload), fingerprint=fingerprint
+        )
         self._segments[fingerprint] = (shm, manifest)
         return manifest
-
-    def manifest_for(self, catalog: Catalog) -> Optional[CatalogManifest]:
-        from .fingerprint import catalog_fingerprint
-
-        entry = self._segments.get(catalog_fingerprint(catalog))
-        return entry[1] if entry is not None else None
 
     def close(self) -> None:
         """Unlink every owned segment (idempotent)."""
@@ -428,27 +256,18 @@ class SharedCatalogRegistry:
 
     @staticmethod
     def attach(manifest: CatalogManifest) -> Catalog:
-        """Rebuild a catalogue by decoding the manifest's shared segment.
+        """Rebuild a catalogue from the manifest's shared segment.
 
-        The mapping is closed as soon as the columns are decoded; attachers
+        The mapping is closed as soon as the payload is unpickled; attachers
         never unlink (the registry that created the segment owns it).
         """
         with span("shm.attach", segment=manifest.segment):
             shm = _attach_readonly(manifest.segment)
             try:
-                buf = shm.buf
-                tables = []
-                for table_manifest in manifest.tables:
-                    col_data = [
-                        _decode_column(buf, column)
-                        for column in table_manifest.column_manifests
-                    ]
-                    tables.append(
-                        Table.from_columns(
-                            table_manifest.name, table_manifest.columns, col_data
-                        )
-                    )
-                del buf
+                # the slice must be released before close(), which raises
+                # BufferError while any view of the mapping is still alive
+                with shm.buf[:manifest.total_bytes] as payload:
+                    tables = pickle.loads(payload)
             finally:
                 shm.close()
-            return Catalog(tables)
+            return Catalog(Table.from_columns(*table) for table in tables)

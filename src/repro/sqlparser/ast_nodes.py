@@ -117,11 +117,6 @@ class Node:
     # -- structural helpers ---------------------------------------------
 
     @property
-    def is_leaf(self) -> bool:
-        """True when the node has no children."""
-        return not self.children
-
-    @property
     def is_choice(self) -> bool:
         """True when the node is a Difftree choice node."""
         return self.label in L.CHOICE_LABELS

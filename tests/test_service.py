@@ -428,8 +428,8 @@ def _tricky_catalog() -> Catalog:
             [1.5, float("nan"), float("inf"), None],
             [True, None, False, True],
             ["plain", "", "unicode: héllo ✓", None],
-            [1, "two", 3.0, None],  # mixed types force the pickle fallback
-            [2**70, 0, 1, 2],  # beyond int64 forces the pickle fallback
+            [1, "two", 3.0, None],  # mixed types keep each value's type
+            [2**70, 0, 1, 2],  # integers beyond int64 stay exact
             [None, None, None, None],
         ],
     )
@@ -439,14 +439,7 @@ def _tricky_catalog() -> Catalog:
 def test_shared_memory_roundtrip_preserves_values_and_types():
     catalog = _tricky_catalog()
     with SharedCatalogRegistry() as registry:
-        manifest = registry.register(catalog)
-        kinds = {
-            m.kind
-            for t in manifest.tables
-            for m in t.column_manifests
-        }
-        assert {"i8", "f8", "b1", "str", "pkl"} <= kinds
-        attached = SharedCatalogRegistry.attach(manifest)
+        attached = SharedCatalogRegistry.attach(registry.register(catalog))
 
     (table,) = catalog.tables()
     (copy,) = attached.tables()
@@ -461,9 +454,15 @@ def test_shared_memory_roundtrip_preserves_values_and_types():
 
 def test_shared_memory_roundtrip_on_standard_catalog():
     catalog = _fresh_catalog()
+    # the owner's lazily built caches stay behind: the segment holds tables
+    table = catalog.tables()[0]
+    assert table.rows
+    catalog.statistics(f"{table.name}.{table.columns[0].name}")
     with SharedCatalogRegistry() as registry:
         attached = SharedCatalogRegistry.attach(registry.register(catalog))
     assert catalog_fingerprint(attached) == catalog_fingerprint(catalog)
+    assert attached._stats == {}
+    assert all(t._rows_cache is None for t in attached.tables())
 
 
 def test_registry_owns_segment_lifecycle():
@@ -485,6 +484,28 @@ def test_registry_owns_segment_lifecycle():
 
 
 # -- worker pool ---------------------------------------------------------------
+
+
+def test_pool_ships_the_pickled_catalogue_when_registration_fails(monkeypatch):
+    """Without shared memory the worker spec carries the catalogue itself;
+    the pool still serves the request, with the serial run's interface."""
+    refused = []
+
+    def refuse(self, catalog):
+        refused.append(catalog)
+        raise OSError("no shared memory")
+
+    monkeypatch.setattr(SharedCatalogRegistry, "register", refuse)
+    serial = generate_for_workload(
+        WORKLOADS["filter"], catalog=_fresh_catalog(), config=_service_config("serial")
+    )
+    pooled = generate_for_workload(
+        WORKLOADS["filter"], catalog=_fresh_catalog(), config=_service_config("process")
+    )
+    assert len(refused) == 1
+    assert pooled.search_stats.backend == "process"
+    assert pooled.search_stats.degraded is None
+    assert _signature(pooled) == _signature(serial)
 
 
 def test_worker_pool_survives_repeated_tasks_and_close_is_idempotent():
